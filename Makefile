@@ -87,11 +87,12 @@ cover:
 
 # allocs runs the allocation-regression guards explicitly: steady-state
 # Model.Score and the rules/featstore/metrics scratch paths are pinned to
-# 0 allocs/op, ScoreBatch to a small per-call bound (model_alloc_test.go).
+# 0 allocs/op, ScoreBatch to a small per-call bound (model_alloc_test.go),
+# and a lone micro-batcher Submit to its response channel alone.
 # They also run as part of `make test`; this target is the fast loop while
 # working on the hot path.
 allocs:
-	$(GO) test -run 'Alloc' . ./internal/rules/ ./internal/featstore/ ./internal/metrics/ ./internal/nn/ ./internal/obs/
+	$(GO) test -run 'Alloc' . ./internal/rules/ ./internal/featstore/ ./internal/metrics/ ./internal/nn/ ./internal/obs/ ./internal/server/
 
 # tier1 is the verification gate every PR must keep green (ROADMAP.md).
 tier1: build build-examples build-cmds vet lint fmtcheck test race cover allocs

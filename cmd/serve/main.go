@@ -111,7 +111,7 @@ func main() {
 		scale       = flag.Float64("scale", 0.05, "synthetic dataset scale for startup training")
 		seed        = flag.Uint64("seed", 1, "seed for startup training")
 		maxBatch    = flag.Int("max-batch", 64, "micro-batcher flush size (1 disables coalescing)")
-		maxLinger   = flag.Duration("max-linger", 2*time.Millisecond, "micro-batcher linger before an under-full batch flushes (0 = greedy)")
+		maxLinger   = flag.Duration("max-linger", 2*time.Millisecond, "how long a micro-batch that already has company waits for more pairs; a lone request always flushes at once (0 = greedy: no batch waits)")
 		recordsPath = flag.String("records", "", "CSV table (id,entity_id,<values...> with header) to warm-load into the match store; /readyz is 503 until done")
 		dataDir     = flag.String("data-dir", "", "directory for the durable match store (WAL + snapshots); empty keeps the store in-memory only")
 		fsyncFlag   = flag.String("fsync", "always", "WAL fsync policy: always (durable before ack), never, or an interval like 100ms")
@@ -150,7 +150,7 @@ func main() {
 	obs.RegisterRuntime(reg)
 	srv := server.New(model, server.Config{
 		MaxBatch:  *maxBatch,
-		MaxLinger: *maxLinger,
+		MaxLinger: configLinger(*maxLinger),
 		ModelPath: *modelPath,
 		Match: match.Config{
 			MinSharedTokens: *minShared,
@@ -255,7 +255,11 @@ func main() {
 
 	errc := make(chan error, 1)
 	go func() {
-		log.Printf("listening on %s (max-batch=%d max-linger=%s)", *addr, *maxBatch, *maxLinger)
+		linger := fmt.Sprintf("batches with company linger up to %s", *maxLinger)
+		if *maxLinger <= 0 {
+			linger = "greedy: no batch lingers"
+		}
+		log.Printf("listening on %s (max-batch=%d; lone requests flush at once, %s)", *addr, *maxBatch, linger)
 		errc <- httpSrv.ListenAndServe()
 	}()
 
@@ -384,6 +388,16 @@ func openPartitionedStore(ctx context.Context, srv *server.Server, model *learnr
 		}
 	}
 	srv.SetReady()
+}
+
+// configLinger maps the -max-linger flag onto server.Config.MaxLinger. The
+// flag spells greedy as 0; the config spells it negative, because its
+// zero takes the 2ms default.
+func configLinger(flagValue time.Duration) time.Duration {
+	if flagValue == 0 {
+		return -1
+	}
+	return flagValue
 }
 
 // buildLogger makes the process slog.Logger per -log-format: "text" is

@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 )
 
 // fakeAdder records the values it accepts and can be armed to fail from a
@@ -126,4 +127,18 @@ func (a *cancelingAdder) AddRecord(values []string) (uint64, error) {
 		a.cancel()
 	}
 	return id, err
+}
+
+// TestConfigLinger: -max-linger 0 is greedy, so it must reach
+// server.Config as a negative MaxLinger (the config's zero would take the
+// 2ms default); other values pass through unchanged.
+func TestConfigLinger(t *testing.T) {
+	if got := configLinger(0); got >= 0 {
+		t.Errorf("-max-linger 0 -> MaxLinger %s, want negative (greedy)", got)
+	}
+	for _, d := range []time.Duration{2 * time.Millisecond, time.Hour, -time.Millisecond} {
+		if got := configLinger(d); got != d {
+			t.Errorf("-max-linger %s -> MaxLinger %s, want it unchanged", d, got)
+		}
+	}
 }

@@ -14,6 +14,7 @@ package server
 import (
 	"context"
 	"errors"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -50,10 +51,15 @@ type scored struct {
 }
 
 // Batcher coalesces concurrent single-pair scoring requests into
-// Model.ScoreBatch calls. A batch is flushed when it reaches MaxBatch
-// pairs or when MaxLinger has passed since its first pair arrived,
-// whichever comes first; under low load a lone request therefore waits at
-// most MaxLinger before scoring alone.
+// Model.ScoreBatch calls. The batch a flush takes starts with a greedy
+// drain of everything already queued. A lone request is flushed at once,
+// after one scheduler yield that lets already-runnable submitters join:
+// under light load no company is coming, so a timer could only add
+// latency. A drain that found company (two or more pairs queued together)
+// is evidence of concurrent traffic, so that batch lingers for late
+// arrivals until it reaches MaxBatch pairs or MaxLinger has passed,
+// whichever comes first. Under load, batches form from the backlog that
+// builds up while the previous flush is scored.
 //
 // The model is read through an atomic pointer shared with the Server, so a
 // hot swap takes effect at the next flush: batches in flight keep the
@@ -72,15 +78,25 @@ type Batcher struct {
 	stop chan struct{} // closed by Close after the last Submit returns
 	done chan struct{} // closed when the scoring loop has exited
 
-	flushes  atomic.Int64 // ScoreBatch calls issued
+	flushes  atomic.Int64 // flushes issued (a lone pair's is a Score call)
 	batched  atomic.Int64 // pairs scored through those calls
 	maxFlush atomic.Int64 // largest flush observed
+
+	// Scratch owned by the scoring goroutine and reused across flushes:
+	// the batch being assembled, the pairs handed to ScoreBatch, a lone
+	// pair's verdict and the linger timer (nil until the first batch with
+	// company lingers).
+	batch []pending
+	pairs []learnrisk.Pair
+	one   [1]learnrisk.PairScore
+	timer *time.Timer
 }
 
 // NewBatcher starts a micro-batcher over the given shared model pointer.
-// maxBatch < 1 disables coalescing (every request scores alone);
-// linger <= 0 makes flushes greedy: a batch takes whatever is already
-// queued and never waits for more.
+// maxBatch < 1 disables coalescing (every request scores alone). linger
+// bounds how long a batch that has company waits for more; linger <= 0
+// makes every flush greedy: a batch takes whatever is already queued and
+// never waits.
 func NewBatcher(model *atomic.Pointer[learnrisk.Model], maxBatch int, linger time.Duration) *Batcher {
 	if maxBatch < 1 {
 		maxBatch = 1
@@ -92,16 +108,19 @@ func NewBatcher(model *atomic.Pointer[learnrisk.Model], maxBatch int, linger tim
 		linger:   linger,
 		stop:     make(chan struct{}),
 		done:     make(chan struct{}),
+		batch:    make([]pending, 0, maxBatch),
+		pairs:    make([]learnrisk.Pair, 0, maxBatch),
 	}
 	go b.loop()
 	return b
 }
 
 // Submit scores one pair through the micro-batcher, blocking until the
-// batch it joined is flushed (at most MaxLinger plus the ScoreBatch time)
-// or the context is canceled. The returned fingerprint identifies the
-// model snapshot that produced the verdict. The score is bit-identical to
-// calling Score on that snapshot directly.
+// batch it joined is flushed or the context is canceled. A request that
+// finds the queue empty is scored at once; one that joins company waits
+// at most MaxLinger plus the ScoreBatch time. The returned fingerprint
+// identifies the model snapshot that produced the verdict. The score is
+// bit-identical to calling Score on that snapshot directly.
 func (b *Batcher) Submit(ctx context.Context, pair learnrisk.Pair) (learnrisk.PairScore, string, error) {
 	// Reject malformed pairs before they join a batch: one bad request
 	// must not cost its batchmates anything. The arity check runs against
@@ -153,8 +172,8 @@ func (b *Batcher) Close() {
 	<-b.done
 }
 
-// Flushes returns how many ScoreBatch calls the batcher has issued and how
-// many pairs went through them — the coalescing ratio batched/flushes is
+// Flushes returns how many flushes the batcher has issued and how many
+// pairs went through them — the coalescing ratio batched/flushes is
 // the serving-side analogue of a cache hit rate.
 func (b *Batcher) Flushes() (flushes, pairs int64) {
 	return b.flushes.Load(), b.batched.Load()
@@ -185,41 +204,60 @@ func (b *Batcher) loop() {
 			for {
 				select {
 				case p := <-b.reqs:
-					b.flush([]pending{p})
+					b.flush(append(b.batch[:0], p))
 				default:
 					return
 				}
 			}
 		}
-		batch := append(make([]pending, 0, b.maxBatch), first)
-		batch = b.collect(batch)
-		b.flush(batch)
+		b.flush(b.collect(append(b.batch[:0], first)))
 	}
 }
 
 // collect grows a batch started by its first request: greedily take
-// everything already queued, then linger for late arrivals until the batch
-// is full or the linger budget is spent.
+// everything already queued, then, only if that drain found company,
+// linger for late arrivals until the batch is full or the linger budget
+// is spent. A lone request returns without waiting on the timer.
 func (b *Batcher) collect(batch []pending) []pending {
-	for len(batch) < b.maxBatch {
-		select {
-		case p := <-b.reqs:
-			batch = append(batch, p)
-			continue
-		default:
-		}
-		break
+	batch = b.drain(batch)
+	if len(batch) == 1 && b.maxBatch > 1 {
+		// The send that woke this goroutine scheduled it ahead of any
+		// submitters that are runnable but have not run yet, so a lone
+		// request may only look lone. Yield once to let them enqueue and
+		// drain again; with nothing else runnable the yield returns at
+		// once.
+		runtime.Gosched()
+		batch = b.drain(batch)
 	}
-	if b.linger <= 0 || len(batch) >= b.maxBatch {
+	if len(batch) < 2 || b.linger <= 0 || len(batch) >= b.maxBatch {
 		return batch
 	}
-	deadline := time.NewTimer(b.linger)
-	defer deadline.Stop()
+	if b.timer == nil {
+		b.timer = time.NewTimer(b.linger)
+	} else {
+		b.timer.Reset(b.linger)
+	}
+	// Since Go 1.23 Stop and Reset discard a pending expiry, so the one
+	// timer never delivers a stale tick into a later batch's linger.
+	defer b.timer.Stop()
 	for len(batch) < b.maxBatch {
 		select {
 		case p := <-b.reqs:
 			batch = append(batch, p)
-		case <-deadline.C:
+		case <-b.timer.C:
+			return batch
+		}
+	}
+	return batch
+}
+
+// drain appends whatever is already queued to batch, up to MaxBatch.
+func (b *Batcher) drain(batch []pending) []pending {
+	for len(batch) < b.maxBatch {
+		select {
+		case p := <-b.reqs:
+			batch = append(batch, p)
+		default:
 			return batch
 		}
 	}
@@ -229,15 +267,16 @@ func (b *Batcher) collect(batch []pending) []pending {
 // flush scores one batch against a single model snapshot and fans the
 // verdicts out. If ScoreBatch rejects the batch as a whole (possible when
 // a hot swap changed the schema after the Submit-time check), each pair is
-// re-scored alone on the same snapshot so errors stay per-request.
+// re-scored alone on the same snapshot so errors stay per-request. The
+// batch's entries are zeroed afterwards: the reused buffers must not keep
+// answered requests' pairs or response channels alive.
 func (b *Batcher) flush(batch []pending) {
 	m := b.model.Load()
 	fp := m.Fingerprint()
-	pairs := make([]learnrisk.Pair, len(batch))
 	traced := false
 	asm := time.Time{}
-	for i, p := range batch {
-		pairs[i] = p.pair
+	for _, p := range batch {
+		b.pairs = append(b.pairs, p.pair)
 		traced = traced || p.tr != nil
 	}
 	if traced {
@@ -261,7 +300,18 @@ func (b *Batcher) flush(batch []pending) {
 			break
 		}
 	}
-	scores, err := m.ScoreBatch(pairs)
+	var scores []learnrisk.PairScore
+	var err error
+	if len(batch) == 1 {
+		// A lone pair takes Score: the same verdict, without ScoreBatch's
+		// result slice and worker fan-out.
+		b.one[0], err = m.Score(b.pairs[0])
+		scores = b.one[:]
+	} else {
+		scores, err = m.ScoreBatch(b.pairs)
+	}
+	clear(b.pairs)
+	b.pairs = b.pairs[:0]
 	if traced {
 		d := time.Since(asm)
 		for _, p := range batch {
@@ -273,9 +323,10 @@ func (b *Batcher) flush(batch []pending) {
 			s, serr := m.Score(p.pair)
 			p.resp <- scored{score: s, fp: fp, err: serr}
 		}
-		return
+	} else {
+		for i, p := range batch {
+			p.resp <- scored{score: scores[i], fp: fp}
+		}
 	}
-	for i, p := range batch {
-		p.resp <- scored{score: scores[i], fp: fp}
-	}
+	clear(batch)
 }

@@ -284,3 +284,108 @@ func TestHotSwapUnderLoad(t *testing.T) {
 		t.Fatalf("only %d swaps happened; the test did not exercise hot-swap", swaps.Load())
 	}
 }
+
+// raceEnabled is set by race_test.go in -race builds.
+var raceEnabled bool
+
+// TestBatcherSubmitAlloc pins the allocations of one lone request through
+// a greedy batcher, counted across both goroutines. The two left are the
+// Submit side's buffered response channel (header and buffer). The flush
+// itself allocates nothing: it reuses the loop's batch and pair buffers
+// and scores a lone pair with Model.Score.
+func TestBatcherSubmitAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	w, m := trainedModel(t, 7)
+	var ptr atomic.Pointer[learnrisk.Model]
+	ptr.Store(m)
+	b := NewBatcher(&ptr, 64, 0)
+	defer b.Close()
+	pair := freshPair(w, 0)
+	ctx := context.Background()
+	allocs := testing.AllocsPerRun(200, func() {
+		if _, _, err := b.Submit(ctx, pair); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 2 {
+		t.Fatalf("lone Submit = %.1f allocs, want <= 2", allocs)
+	}
+}
+
+// TestBatcherLoneRequestSkipsLinger: a request that finds the queue empty
+// flushes at once, however long MaxLinger is. With an hour of linger, a
+// batcher that lingered on a lone request would hit the deadline.
+func TestBatcherLoneRequestSkipsLinger(t *testing.T) {
+	w, m := trainedModel(t, 7)
+	var ptr atomic.Pointer[learnrisk.Model]
+	ptr.Store(m)
+	b := NewBatcher(&ptr, 64, time.Hour)
+	defer b.Close()
+
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	pair := freshPair(w, 3)
+	got, _, err := b.Submit(ctx, pair)
+	if err != nil {
+		t.Fatalf("lone Submit under an hour of linger: %v", err)
+	}
+	if want, _ := m.Score(pair); got != want {
+		t.Fatalf("score %+v, want %+v", got, want)
+	}
+}
+
+// TestBatcherCompanyLingers drives collect directly (no scoring loop) so
+// the policy is observed without races: a drain that finds company waits
+// for more until the batch is full, and a greedy batcher never waits.
+func TestBatcherCompanyLingers(t *testing.T) {
+	const maxBatch = 4
+	newQueue := func(linger time.Duration) *Batcher {
+		return &Batcher{reqs: make(chan pending, maxBatch), maxBatch: maxBatch, linger: linger}
+	}
+	collected := func(b *Batcher, queued int) chan []pending {
+		for i := 0; i < queued; i++ {
+			b.reqs <- pending{}
+		}
+		out := make(chan []pending, 1)
+		go func() { out <- b.collect([]pending{{}}) }()
+		return out
+	}
+
+	b := newQueue(time.Hour)
+	out := collected(b, 1) // first + one queued: company
+	select {
+	case batch := <-out:
+		t.Fatalf("a batch with company flushed at %d pairs without lingering", len(batch))
+	case <-time.After(20 * time.Millisecond):
+	}
+	b.reqs <- pending{}
+	b.reqs <- pending{}
+	select {
+	case batch := <-out:
+		if len(batch) != maxBatch {
+			t.Fatalf("lingering batch flushed at %d pairs, want %d", len(batch), maxBatch)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("a full batch did not flush")
+	}
+
+	// A batch with company lingers only up to MaxLinger, reusing the timer.
+	b = newQueue(time.Millisecond)
+	for round := 0; round < 3; round++ {
+		if batch := <-collected(b, 1); len(batch) != 2 {
+			t.Fatalf("round %d: linger expiry flushed %d pairs, want 2", round, len(batch))
+		}
+	}
+
+	b = newQueue(0)
+	select {
+	case batch := <-collected(b, 1):
+		if len(batch) != 2 {
+			t.Fatalf("greedy batch = %d pairs, want 2", len(batch))
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("a greedy batcher lingered")
+	}
+}

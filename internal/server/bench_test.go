@@ -76,8 +76,9 @@ func BenchmarkServeMicroBatchedGreedy(b *testing.B) {
 }
 
 // The linger variant sizes MaxBatch to the client parallelism, the tuning
-// a saturated deployment wants: a full batch flushes immediately, so the
-// linger only ever delays the trailing under-full batch.
+// a saturated deployment wants: a full batch flushes immediately and a
+// lone request never waits, so the linger only delays a batch that found
+// company but is not yet full.
 func BenchmarkServeMicroBatchedLinger(b *testing.B) {
 	benchmarkBatched(b, 8, 500*time.Microsecond)
 }

@@ -51,9 +51,12 @@ type Config struct {
 	// single-pair requests coalesce into ScoreBatch calls of at most this
 	// many pairs. 1 disables coalescing.
 	MaxBatch int
-	// MaxLinger bounds how long an under-full batch waits for company
-	// (default 2ms). 0 keeps flushes greedy: a batch takes what is queued
-	// and never waits — lowest latency, least coalescing.
+	// MaxLinger bounds how long a batch that already has company (two or
+	// more pairs queued together) waits for more (default 2ms). A lone
+	// request never waits: it flushes at once. Zero takes the default; a
+	// negative value makes every flush greedy — a batch takes what is
+	// queued and never waits (the negative-sentinel convention of
+	// blocking.Config.Normalize).
 	MaxLinger time.Duration
 	// ModelPath, when set, is the default artifact the reload endpoint
 	// re-reads when the request names no path. It also anchors the reload
@@ -102,6 +105,9 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxLinger == 0 {
 		c.MaxLinger = 2 * time.Millisecond
+	}
+	if c.MaxLinger < 0 {
+		c.MaxLinger = 0 // greedy
 	}
 	if c.Partitions > 0 {
 		if c.Replicas <= 0 {

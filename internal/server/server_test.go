@@ -426,4 +426,15 @@ func TestConfigDefaults(t *testing.T) {
 	if cfg.MaxBatch != 3 || cfg.MaxLinger != time.Second {
 		t.Fatalf("explicit config clobbered: %+v", cfg)
 	}
+	// A negative MaxLinger is the greedy switch: it reaches the batcher as
+	// a never-waiting flush instead of being rewritten to the default.
+	if got := (Config{MaxLinger: -1}).withDefaults().MaxLinger; got != 0 {
+		t.Fatalf("negative MaxLinger resolved to %s, want 0 (greedy)", got)
+	}
+	_, m := trainedModel(t, 7)
+	srv := New(m, Config{MaxLinger: -time.Millisecond})
+	defer srv.Close()
+	if srv.batcher.linger > 0 {
+		t.Fatalf("batcher linger = %s, want greedy", srv.batcher.linger)
+	}
 }
