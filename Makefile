@@ -20,7 +20,7 @@ vet:
 	$(GO) vet ./...
 
 # lint runs the project's own invariant checkers (cmd/vetkit — hotpath,
-# walbeforeapply, lockdiscipline, closecheck, expvarlint; see the README's
+# walbeforeapply, lockdiscipline, closecheck, metriclint; see the README's
 # "Static analysis" section) and, when the pinned tools are present in the
 # module cache, staticcheck and govulncheck. The external tools are
 # best-effort: this repo builds offline with zero dependencies, so an
@@ -161,12 +161,11 @@ bench-pr8:
 # resolve path under closed-loop HTTP load (cmd/loadgen): the same mixed
 # add/delete/resolve traffic against a 1-partition and a 4-partition
 # server, stepping client concurrency and recording throughput plus
-# p50/p95/p99 resolve latency per step. The flat (unpartitioned) label
-# rides along as the zero-router baseline. See PERFORMANCE.md for the
-# crossover analysis.
+# p50/p95/p99 resolve latency per step. The committed file's "flat" label
+# predates the single store path; the server no longer has a flat mode.
+# See PERFORMANCE.md for the crossover analysis.
 LOADGEN_FLAGS = -steps 1,2,4,8,16,32 -step-duration 2s -preload 400 -out BENCH_PR9.json
 bench-pr9:
-	$(GO) run ./cmd/loadgen $(LOADGEN_FLAGS) -partitions 0 -label flat
 	$(GO) run ./cmd/loadgen $(LOADGEN_FLAGS) -partitions 1 -label parts-1
 	$(GO) run ./cmd/loadgen $(LOADGEN_FLAGS) -partitions 4 -replicas 2 -label parts-4
 

@@ -33,27 +33,34 @@
 // background: the listener accepts traffic immediately, /readyz flips to
 // 200 when the index is warm.
 //
-// -data-dir makes the match store durable: every accepted record mutation
-// is framed into a write-ahead log (fsynced per the -fsync policy) before
-// it is applied, periodic snapshots (-snapshot-every) bound replay time,
-// and a restart replays snapshot + log tail to serve the same records with
-// no -records re-ingest. The replay runs in the background; /readyz
-// reports its progress as the not-ready reason and record mutations answer
-// 503 until it finishes. POST /v1/snapshot cuts a snapshot on demand.
-// With a populated -data-dir, -records is skipped (the store already has
-// its records); it seeds only an empty data dir.
-//
-// -partitions N shards the match store across N independent partitions:
-// records consistent-hash by ID, every resolve scatter-gathers across all
+// The match store is partitioned, with one partition by default.
+// -partitions N shards it across N independent partitions: records
+// consistent-hash by ID, every resolve scatter-gathers across all
 // partitions concurrently and merges their top-k heaps into the same
-// ranked answer one flat store would return. -replicas R fans each
-// partition's reads across R replicas (power-of-two-choices). With
-// -data-dir, each partition persists into its own part-NNN subdirectory,
-// partitions replay concurrently at startup (restart time is the slowest
-// partition, not the sum), and /readyz lists per-partition replay
-// progress. -max-pending bounds in-flight record mutations; past the
+// ranked answer one flat store would return. One partition holds every
+// record, so it prunes stop tokens on its own posting lists and keeps no
+// token census (partition_stats_pruned_tokens then reads 0); more
+// partitions prune from a global census. -replicas R fans each
+// partition's reads across R replicas (power-of-two-choices).
+// -max-pending bounds in-flight record mutations (default 256); past the
 // bound, ingest answers 429 + Retry-After instead of queueing without
 // bound (back-pressure sheds writes, never resolves).
+//
+// -data-dir makes the match store durable: each partition persists into
+// its own part-NNN subdirectory, every accepted record mutation is framed
+// into that partition's write-ahead log (fsynced per the -fsync policy)
+// before it is applied, periodic snapshots (-snapshot-every) bound replay
+// time, and a restart replays snapshot + log tail to serve the same
+// records with no -records re-ingest. Partitions replay concurrently in
+// the background (restart time is the slowest partition, not the sum);
+// /readyz lists per-partition replay progress and record mutations answer
+// 503 until it finishes. POST /v1/snapshot cuts a snapshot on demand.
+// With a populated -data-dir, -records is skipped (the store already has
+// its records); it seeds only an empty data dir. The partition count is
+// fixed when the dir is created. A data dir written by an older,
+// unpartitioned server (wal-*.log and snap-*.db at its top level) is
+// refused with the fix: move those files into part-000 and start with
+// -partitions 1.
 //
 // SIGINT/SIGTERM drain gracefully: the listener closes, in-flight requests
 // finish (bounded by -shutdown-timeout), then the micro-batcher stops, and
@@ -118,9 +125,9 @@ func main() {
 		snapEvery   = flag.Int("snapshot-every", 10000, "logged operations between automatic snapshots (negative disables; snapshots then happen only via POST /v1/snapshot and shutdown)")
 		minShared   = flag.Int("match-min-shared", 0, "blocking tokens a stored record must share with a probe (0 = default 1)")
 		maxBlock    = flag.Int("match-max-block", 0, "stop-token pruning bound for the match index (0 = default 200, negative disables)")
-		partitions  = flag.Int("partitions", 0, "partition the match store across this many independent partitions (scatter-gather resolve; 0 keeps one flat store)")
-		replicas    = flag.Int("replicas", 1, "read replicas per partition (power-of-two-choices fan-out; needs -partitions)")
-		maxPending  = flag.Int("max-pending", 0, "bounded ingest queue: record mutations beyond this many in flight answer 429 (0 = default 256 with -partitions, off without; negative disables)")
+		partitions  = flag.Int("partitions", 1, "partition the match store across this many independent partitions (scatter-gather resolve; one partition prunes stop tokens locally and keeps no token census)")
+		replicas    = flag.Int("replicas", 1, "read replicas per partition (power-of-two-choices fan-out)")
+		maxPending  = flag.Int("max-pending", 0, "bounded ingest queue: record mutations beyond this many in flight answer 429 (0 = default 256; negative disables)")
 		pprofAddr   = flag.String("pprof", "", "optional debug listener address (e.g. localhost:6060) exposing /debug/pprof and /debug/vars; empty disables it")
 		mutexFrac   = flag.Int("mutex-profile-fraction", 5, "with -pprof, sample 1/N of mutex-contention events into /debug/pprof/mutex (0 disables)")
 		blockRate   = flag.Int("block-profile-rate", 0, "with -pprof, sample blocking events of at least this many ns into /debug/pprof/block (0 disables; sampling has measurable overhead)")
@@ -182,31 +189,14 @@ func main() {
 	// durable replay (snapshot + WAL tail), optionally followed by a
 	// -records seed when the replayed store came up empty.
 	switch {
-	case *dataDir != "" && *partitions > 0:
-		policy, interval, err := wal.ParseSyncPolicy(*fsyncFlag)
-		if err != nil {
-			log.Fatal(err)
-		}
-		srv.SetDurablePending()
-		srv.SetNotReady(fmt.Sprintf("opening %d durable match partitions in %s", *partitions, *dataDir))
-		go openPartitionedStore(ctx, srv, model, *dataDir, *recordsPath, *partitions, *replicas, match.Config{
-			MinSharedTokens: *minShared,
-			MaxBlockSize:    *maxBlock,
-		}, match.DurableOptions{
-			Sync:          policy,
-			SyncInterval:  interval,
-			SnapshotEvery: *snapEvery,
-			Logf:          log.Printf,
-			OnStage:       srv.ObserveStage,
-		})
 	case *dataDir != "":
 		policy, interval, err := wal.ParseSyncPolicy(*fsyncFlag)
 		if err != nil {
 			log.Fatal(err)
 		}
 		srv.SetDurablePending()
-		srv.SetNotReady(fmt.Sprintf("opening durable match store in %s", *dataDir))
-		go openDurableStore(ctx, srv, model, *dataDir, *recordsPath, match.DurableOptions{
+		srv.SetNotReady(fmt.Sprintf("opening %d durable match partitions in %s", srv.Partitioned().Partitions(), *dataDir))
+		go openPartitionedStore(ctx, srv, *dataDir, *recordsPath, match.DurableOptions{
 			Sync:          policy,
 			SyncInterval:  interval,
 			SnapshotEvery: *snapEvery,
@@ -216,7 +206,7 @@ func main() {
 	case *recordsPath != "":
 		srv.SetNotReady(fmt.Sprintf("warm-loading match records from %s", *recordsPath))
 		go func() {
-			n, err := warmLoadRecords(ctx, srv, srv.MatchStore().Arity(), *recordsPath)
+			n, err := warmLoadRecords(ctx, srv, srv.Partitioned().Arity(), *recordsPath)
 			if err != nil {
 				log.Printf("warm-load: %v (after %d records)", err, n)
 				srv.SetNotReady(fmt.Sprintf("warm-load of %s failed: %v", *recordsPath, err))
@@ -280,13 +270,7 @@ func main() {
 	// the durable store sealed — its unsnapshotted tail rolls into a final
 	// snapshot so the next start replays zero log frames.
 	srv.Close()
-	if d := srv.Durable(); d != nil {
-		log.Printf("sealing durable store in %s (final snapshot)", d.Dir())
-		if err := d.Close(); err != nil {
-			log.Printf("durable store close: %v", err)
-		}
-	}
-	if ps := srv.Partitioned(); ps != nil && ps.Durable() {
+	if ps := srv.Partitioned(); ps.Durable() {
 		log.Printf("sealing %d durable match partitions (final snapshots)", ps.Partitions())
 		if err := ps.Close(); err != nil {
 			log.Printf("partitioned store close: %v", err)
@@ -295,58 +279,12 @@ func main() {
 	log.Printf("served %d pairs across %d hot-swaps; bye", srv.Served(), srv.Swaps())
 }
 
-// openDurableStore replays the data dir in the background (the listener is
-// already up; /readyz carries the replay progress), installs the store,
-// and seeds it from recordsPath only when the replay produced an empty
-// store — a populated data dir already holds its records.
-func openDurableStore(ctx context.Context, srv *server.Server, model *learnrisk.Model, dir, recordsPath string, opts match.DurableOptions) {
-	opts.Progress = func(phase string, done, total int) {
-		if total > 0 {
-			srv.SetNotReady(fmt.Sprintf("replaying durable store: %s %d/%d", phase, done, total))
-		} else {
-			srv.SetNotReady(fmt.Sprintf("replaying durable store: %s %d ops", phase, done))
-		}
-	}
-	d, err := model.OpenDurableMatchStore(dir, srv.MatchStore().Config(), opts)
-	if err != nil {
-		// The replica must not take traffic with its records missing, and
-		// mutations stay refused (the pending gate holds): an operator
-		// decision is needed, not a silently empty store.
-		log.Printf("durable store: %v", err)
-		srv.SetNotReady(fmt.Sprintf("durable store open failed: %v", err))
-		return
-	}
-	rs := d.ReplayStats()
-	log.Printf("durable store %s: %d records from snapshot %d + %d tail ops (%d segments, torn=%v) in %s",
-		dir, rs.SnapshotRecords, rs.SnapshotSeq, rs.TailFrames, rs.Segments, rs.TornTail, rs.Duration)
-	if err := srv.InstallDurableStore(d); err != nil {
-		log.Printf("durable store: %v", err)
-		srv.SetNotReady(fmt.Sprintf("durable store install failed: %v", err))
-		return
-	}
-	if recordsPath != "" {
-		if d.Len() > 0 {
-			log.Printf("skipping -records %s: the durable store already holds %d records", recordsPath, d.Len())
-		} else {
-			srv.SetNotReady(fmt.Sprintf("seeding durable store from %s", recordsPath))
-			n, err := warmLoadRecords(ctx, srv, srv.MatchStore().Arity(), recordsPath)
-			if err != nil {
-				log.Printf("warm-load: %v (after %d records)", err, n)
-				srv.SetNotReady(fmt.Sprintf("warm-load of %s failed: %v", recordsPath, err))
-				return
-			}
-			log.Printf("seeded %d records into the durable store", n)
-		}
-	}
-	srv.SetReady()
-}
-
 // openPartitionedStore replays every partition's data subdirectory
 // concurrently in the background (the listener is already up; /readyz
-// aggregates per-partition replay progress), installs the partitioned
-// store, and seeds it from recordsPath only when the replay produced an
-// empty store.
-func openPartitionedStore(ctx context.Context, srv *server.Server, model *learnrisk.Model, dir, recordsPath string, partitions, replicas int, cfg match.Config, opts match.DurableOptions) {
+// aggregates per-partition replay progress), installs the store, and seeds
+// it from recordsPath only when the replay produced an empty store.
+func openPartitionedStore(ctx context.Context, srv *server.Server, dir, recordsPath string, opts match.DurableOptions) {
+	partitions := srv.Partitioned().Partitions()
 	for i := 0; i < partitions; i++ {
 		srv.SetPartitionNotReady(i, "opening")
 	}
@@ -357,34 +295,31 @@ func openPartitionedStore(ctx context.Context, srv *server.Server, model *learnr
 			srv.SetPartitionNotReady(part, fmt.Sprintf("replaying: %s %d ops", phase, done))
 		}
 	}
-	ps, err := model.OpenDurablePartitionedMatchStore(dir, partitions, replicas, cfg, opts, progress)
+	ps, err := srv.OpenDurableStore(dir, opts, progress)
 	if err != nil {
-		// Same stance as the flat durable path: no silently empty replica.
-		log.Printf("partitioned store: %v", err)
-		srv.SetNotReady(fmt.Sprintf("partitioned store open failed: %v", err))
+		// The replica must not take traffic with its records missing, and
+		// mutations stay refused (the pending gate holds): an operator
+		// decision is needed, not a silently empty store.
+		log.Printf("durable store: %v", err)
+		srv.SetNotReady(fmt.Sprintf("durable store open failed: %v", err))
 		return
 	}
-	log.Printf("partitioned store %s: %d partitions, %d live records", dir, ps.Partitions(), ps.Len())
-	if err := srv.InstallPartitionedStore(ps); err != nil {
-		log.Printf("partitioned store: %v", err)
-		srv.SetNotReady(fmt.Sprintf("partitioned store install failed: %v", err))
-		return
-	}
+	log.Printf("durable store %s: %d partitions, %d live records", dir, ps.Partitions(), ps.Len())
 	for i := 0; i < partitions; i++ {
 		srv.SetPartitionReady(i)
 	}
 	if recordsPath != "" {
 		if ps.Len() > 0 {
-			log.Printf("skipping -records %s: the partitioned store already holds %d records", recordsPath, ps.Len())
+			log.Printf("skipping -records %s: the durable store already holds %d records", recordsPath, ps.Len())
 		} else {
-			srv.SetNotReady(fmt.Sprintf("seeding partitioned store from %s", recordsPath))
+			srv.SetNotReady(fmt.Sprintf("seeding durable store from %s", recordsPath))
 			n, err := warmLoadRecords(ctx, srv, ps.Arity(), recordsPath)
 			if err != nil {
 				log.Printf("warm-load: %v (after %d records)", err, n)
 				srv.SetNotReady(fmt.Sprintf("warm-load of %s failed: %v", recordsPath, err))
 				return
 			}
-			log.Printf("seeded %d records into the partitioned store", n)
+			log.Printf("seeded %d records into the durable store", n)
 		}
 	}
 	srv.SetReady()

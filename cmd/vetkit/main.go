@@ -1,4 +1,4 @@
-// vetkit is the repo's invariant checker: a multichecker over the six
+// vetkit is the repo's invariant checker: a multichecker over the five
 // project-specific analyzers in internal/analysis/..., run by `make lint`
 // (and therefore `make tier1`) over the whole tree. It exits non-zero on
 // any finding, so an invariant regression fails the gate exactly like a
@@ -17,9 +17,9 @@
 //	walbeforeapply  //vetkit:wal-before-apply methods log before applying
 //	lockdiscipline  no mutex copies; Lock pairs with Unlock on all paths
 //	closecheck      Close/Sync errors on writable files are checked
-//	expvarlint      expvar names are snake_case, registered exactly once
-//	metriclint      obs.Registry names are snake_case, registered exactly
-//	                once, and never registered from a hotpath function
+//	metriclint      obs.Registry and expvar names are snake_case,
+//	                registered exactly once, and never registered from a
+//	                hotpath function
 //
 // See the README's "Static analysis" section for the annotation
 // vocabulary and how to extend the suite.
@@ -33,7 +33,6 @@ import (
 
 	"repro/internal/analysis"
 	"repro/internal/analysis/closecheck"
-	"repro/internal/analysis/expvarlint"
 	"repro/internal/analysis/hotpath"
 	"repro/internal/analysis/lockcheck"
 	"repro/internal/analysis/metriclint"
@@ -46,7 +45,6 @@ var analyzers = []*analysis.Analyzer{
 	walapply.Analyzer,
 	lockcheck.Analyzer,
 	closecheck.Analyzer,
-	expvarlint.Analyzer,
 	metriclint.Analyzer,
 }
 

@@ -136,7 +136,7 @@ func main() {
 		fmt.Printf("deleted record %d; its probe now resolves to %d other candidate(s)\n", firstHitID, len(resp.Matches))
 	}
 
-	st := srv.MatchStore().Stats()
+	st := srv.Partitioned().MatchStats()
 	fmt.Printf("index: %d live records, %d tokens, %d tombstones, %d compactions, %.1f mean candidates/probe\n",
 		st.Live, st.Tokens, st.Tombstones, st.Compactions,
 		float64(st.Candidates)/float64(max(st.Probes, 1)))
@@ -197,17 +197,15 @@ func durableRestartDemo(w *learnrisk.Workload, model *learnrisk.Model, k int) er
 // shutdown order (HTTP, batcher, store — the store last, sealing a final
 // snapshot).
 func withDurableService(model *learnrisk.Model, dir string, fn func(base string) error) error {
-	d, err := model.OpenDurableMatchStore(dir, learnrisk.MatchConfig{}, learnrisk.DurableMatchOptions{})
-	if err != nil {
-		return err
-	}
 	srv := server.New(model, server.Config{MaxLinger: time.Millisecond})
-	if err := srv.InstallDurableStore(d); err != nil {
-		d.Close()
+	d, err := srv.OpenDurableStore(dir, learnrisk.DurableMatchOptions{}, nil)
+	if err != nil {
+		srv.Close()
 		return err
 	}
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
+		srv.Close()
 		d.Close()
 		return err
 	}

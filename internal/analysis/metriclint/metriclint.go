@@ -1,20 +1,22 @@
-// Package metriclint keeps the obs.Registry metric surface consistent,
-// the way expvarlint does for raw expvar: every metric registered
-// anywhere in the tree (Registry.Counter, Gauge, Histogram, Func) must be
-// named by a snake_case string literal, and each name must be registered
-// exactly once across the whole program — a duplicate registration panics
-// at runtime, which a test that never constructs that exact server shape
-// will not catch.
+// Package metriclint keeps the metric surface consistent: every metric
+// registered anywhere in the tree — on an obs.Registry (Counter, Gauge,
+// Histogram, Func) or straight onto expvar (Publish, NewInt, NewFloat,
+// NewString, NewMap) — must be named by a snake_case string literal, and
+// each name must be registered exactly once across the whole program. A
+// duplicate registration panics at runtime (for expvar, on the debug
+// listener, in production), which a test that never constructs that exact
+// server shape will not catch. Registry and expvar names share one
+// namespace because Registry.MirrorExpvar republishes every registry name
+// on expvar.
 //
-// It adds one check expvarlint has no analogue for: registration is
-// forbidden inside //vetkit:hotpath functions. Registering takes the
-// registry lock and allocates; hotpath code must only *observe* into
-// instruments it was handed at construction time.
+// Registration is also forbidden inside //vetkit:hotpath functions.
+// Registering takes a lock and allocates; hotpath code must only
+// *observe* into instruments it was handed at construction time.
 //
 // The uniqueness check aggregates across all analyzed packages through
 // the run's shared Program state, so two different packages registering
-// the same name into one binary's registry are caught even though each
-// package looks fine alone.
+// the same name into one binary are caught even though each package looks
+// fine alone.
 package metriclint
 
 import (
@@ -30,7 +32,7 @@ import (
 
 var Analyzer = &analysis.Analyzer{
 	Name: "metriclint",
-	Doc:  "obs.Registry metric names are snake_case literals registered exactly once, never from a hotpath",
+	Doc:  "obs.Registry and expvar names are snake_case literals registered exactly once, never from a hotpath",
 	Run:  run,
 }
 
@@ -43,6 +45,16 @@ var registrars = map[string]bool{
 	"Gauge":     true,
 	"Histogram": true,
 	"Func":      true,
+}
+
+// expvarRegistrars are the expvar functions whose first argument names
+// the var.
+var expvarRegistrars = map[string]bool{
+	"Publish":   true,
+	"NewInt":    true,
+	"NewFloat":  true,
+	"NewString": true,
+	"NewMap":    true,
 }
 
 // registry is the program-wide name table living in Program.State.
@@ -72,16 +84,22 @@ func run(pass *analysis.Pass) error {
 					return true
 				}
 				sel, ok := call.Fun.(*ast.SelectorExpr)
-				if !ok || !registrars[sel.Sel.Name] {
+				if !ok || len(call.Args) == 0 {
 					return true
 				}
-				if !isRegistryMethod(pass, sel) || len(call.Args) == 0 {
+				var fn string
+				switch name := sel.Sel.Name; {
+				case registrars[name] && isRegistryMethod(pass, sel):
+					fn = "obs.Registry." + name
+				case expvarRegistrars[name] && isExpvarFunc(pass, sel):
+					fn = "expvar." + name
+				default:
 					return true
 				}
 				if pass.Prog.FuncAnnotated(enclosing, analysis.DirectiveHotPath) {
-					pass.Reportf(call.Pos(), "metric registration inside hotpath function %s: Registry.%s locks and allocates; register at construction time and pass the instrument in", enclosing.Name(), sel.Sel.Name)
+					pass.Reportf(call.Pos(), "metric registration inside hotpath function %s: %s locks and allocates; register at construction time and pass the instrument in", enclosing.Name(), fn)
 				}
-				checkName(pass, reg, sel.Sel.Name, call.Args[0])
+				checkName(pass, reg, fn, call.Args[0])
 				return true
 			})
 		}
@@ -110,10 +128,17 @@ func isRegistryMethod(pass *analysis.Pass, sel *ast.SelectorExpr) bool {
 	return ok && named.Obj().Name() == "Registry"
 }
 
+// isExpvarFunc reports whether sel resolves to a function of the standard
+// expvar package.
+func isExpvarFunc(pass *analysis.Pass, sel *ast.SelectorExpr) bool {
+	fn, _ := pass.TypesInfo.Uses[sel.Sel].(*types.Func)
+	return fn != nil && fn.Pkg() != nil && fn.Pkg().Path() == "expvar"
+}
+
 func checkName(pass *analysis.Pass, reg *registry, fn string, arg ast.Expr) {
 	lit, ok := arg.(*ast.BasicLit)
 	if !ok || lit.Kind != token.STRING {
-		pass.Reportf(arg.Pos(), "obs.Registry.%s name must be a string literal (found %s), so the metric surface is greppable", fn, exprKind(arg))
+		pass.Reportf(arg.Pos(), "%s name must be a string literal (found %s), so the metric surface is greppable", fn, exprKind(arg))
 		return
 	}
 	name, err := strconv.Unquote(lit.Value)

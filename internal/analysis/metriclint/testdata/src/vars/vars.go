@@ -1,4 +1,4 @@
-// Package vars seeds expvarlint violations: dynamic names, names that are
+// Package vars seeds metriclint's expvar violations: dynamic names, names that are
 // not snake_case, and a duplicate registration.
 package vars
 

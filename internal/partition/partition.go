@@ -20,7 +20,9 @@
 //     live record count across all partitions). A probe's pruned tokens
 //     are computed from the census once and passed to every partition as a
 //     sorted skip list — exactly the verdict the flat store's per-posting
-//     live counts would have reached.
+//     live counts would have reached. A single partition's posting lists
+//     already hold every record, so with one partition there is no census:
+//     the partition prunes locally, exactly as a flat store does.
 //
 // Partition is an interface: Local wraps an in-process match.Store (or its
 // durable variant), and the seam is shaped so an HTTP-client partition —

@@ -28,9 +28,12 @@ type Options struct {
 	// the routing seam for the HTTP-partition follow-on, not a data copy.
 	Replicas int
 	// Match is the blocking configuration. MaxBlockSize is interpreted
-	// globally: partitions run with local pruning disabled and the store's
-	// token census applies the bound across all partitions, so pruning
-	// verdicts match a single flat store over the same records.
+	// globally: with more than one partition, partitions run with local
+	// pruning disabled and the store's token census applies the bound
+	// across all partitions, so pruning verdicts match a single flat store
+	// over the same records. One partition holds every record, so its own
+	// posting lists carry the exact live counts: it prunes locally, as a
+	// flat store does, and no census is kept.
 	Match match.Config
 	// Scorer ranks probes per partition (required).
 	Scorer Scorer
@@ -87,6 +90,8 @@ type Store struct {
 	// even when partitions are remote.
 	tok *Local
 
+	// census is nil with one partition: the partition prunes on its own
+	// posting lists, which already count every record.
 	seed   maphash.Seed
 	census []censusShard
 
@@ -165,9 +170,9 @@ func jumpHash(key uint64, buckets int) int {
 func (s *Store) partitionOf(id uint64) int { return jumpHash(id, len(s.parts)) }
 
 // New builds an in-memory partitioned store for records of the given
-// arity. Partition stores are created with local stop-token pruning
-// disabled — the Store's census applies Options.Match.MaxBlockSize
-// globally instead.
+// arity. With more than one partition, partition stores are created with
+// local stop-token pruning disabled — the Store's census applies
+// Options.Match.MaxBlockSize globally instead.
 func New(arity int, o Options) (*Store, error) {
 	o = o.withDefaults()
 	if o.Scorer == nil {
@@ -189,9 +194,10 @@ func New(arity int, o Options) (*Store, error) {
 
 // newRouter builds the Store shell shared by New and OpenDurable: the
 // tokenizer store (which also resolves the config defaults — MaxBlockSize
-// in particular), the census stripes, and the empty partition table. It
-// returns the per-partition config: the resolved one with local pruning
-// disabled.
+// in particular), the census stripes when there is more than one
+// partition, and the empty partition table. It returns the per-partition
+// config: the resolved one, with local pruning disabled wherever the
+// census prunes instead.
 func newRouter(arity int, o Options) (*Store, match.Config, error) {
 	tokStore, err := match.New(arity, o.Match)
 	if err != nil {
@@ -199,17 +205,19 @@ func newRouter(arity int, o Options) (*Store, match.Config, error) {
 	}
 	resolved := tokStore.Config()
 	partCfg := resolved
-	partCfg.MaxBlockSize = -1
 	s := &Store{
 		arity:    arity,
 		maxBlock: resolved.MaxBlockSize,
 		parts:    make([]*replicaSet, o.Partitions),
 		tok:      NewLocal(tokStore, o.Scorer),
 		seed:     maphash.MakeSeed(),
-		census:   make([]censusShard, censusShards),
 	}
-	for i := range s.census {
-		s.census[i].m = make(map[string]int)
+	if o.Partitions > 1 {
+		partCfg.MaxBlockSize = -1
+		s.census = make([]censusShard, censusShards)
+		for i := range s.census {
+			s.census[i].m = make(map[string]int)
+		}
 	}
 	return s, partCfg, nil
 }
@@ -439,9 +447,13 @@ func (s *Store) censusShardOf(tok string) *censusShard {
 	return &s.census[maphash.String(s.seed, tok)&(censusShards-1)]
 }
 
-// censusAdd counts a just-installed record's distinct tokens. The values
-// passed the arity check upstream, so DistinctTokens cannot fail.
+// censusAdd counts a just-installed record's distinct tokens (a no-op
+// without a census). The values passed the arity check upstream, so
+// DistinctTokens cannot fail.
 func (s *Store) censusAdd(values []string) {
+	if s.census == nil {
+		return
+	}
 	_ = s.tok.Store().DistinctTokens(values, func(t string) {
 		cs := s.censusShardOf(t)
 		cs.mu.Lock()
@@ -450,8 +462,12 @@ func (s *Store) censusAdd(values []string) {
 	})
 }
 
-// censusRemove uncounts a just-deleted record's distinct tokens.
+// censusRemove uncounts a just-deleted record's distinct tokens (a no-op
+// without a census).
 func (s *Store) censusRemove(values []string) {
+	if s.census == nil {
+		return
+	}
 	_ = s.tok.Store().DistinctTokens(values, func(t string) {
 		cs := s.censusShardOf(t)
 		cs.mu.Lock()
@@ -475,9 +491,10 @@ func (s *Store) censusCount(tok string) int {
 // appendSkip computes the probe's globally pruned stop tokens: every
 // distinct probe token whose census live count exceeds the resolved
 // MaxBlockSize — the same predicate a flat store applies per posting list —
-// sorted ascending for the partitions' binary-search skip check.
+// sorted ascending for the partitions' binary-search skip check. Without a
+// census the skip list is empty: the lone partition prunes locally.
 func (s *Store) appendSkip(dst []string, probe []string) ([]string, error) {
-	if s.maxBlock <= 0 {
+	if s.maxBlock <= 0 || s.census == nil {
 		return dst[:0], nil
 	}
 	dst = dst[:0]
@@ -502,8 +519,8 @@ type Stats struct {
 	Records      []int   `json:"records"`       // live records per partition (skew at a glance)
 	Pending      []int64 `json:"pending"`       // in-flight reads per partition (summed over replicas)
 	Probes       int64   `json:"probes"`        // scatter-gather resolves served
-	PrunedTokens int64   `json:"pruned_tokens"` // probe tokens the census pruned, cumulative
-	CensusTokens int     `json:"census_tokens"` // distinct tokens currently counted
+	PrunedTokens int64   `json:"pruned_tokens"` // probe tokens the census pruned, cumulative (0 with one partition, which prunes locally)
+	CensusTokens int     `json:"census_tokens"` // distinct tokens currently counted (0 with one partition)
 }
 
 // Stats snapshots the router counters (brief per-stripe locks).
@@ -536,6 +553,39 @@ func (s *Store) PartitionStats() []match.Stats {
 	out := make([]match.Stats, len(s.parts))
 	for i, g := range s.parts {
 		out[i] = g.primary().Stats()
+	}
+	return out
+}
+
+// MatchStats sums every partition's index counters: the store-wide view
+// of live records, tokens, tombstones and compactions. Probes and
+// Candidates count partition legs, so with N partitions one resolve adds
+// N probes.
+func (s *Store) MatchStats() match.Stats {
+	var t match.Stats
+	for _, st := range s.PartitionStats() {
+		t.Live += st.Live
+		t.Added += st.Added
+		t.Deleted += st.Deleted
+		t.Tokens += st.Tokens
+		t.Tombstones += st.Tombstones
+		t.Compactions += st.Compactions
+		t.Probes += st.Probes
+		t.Candidates += st.Candidates
+	}
+	return t
+}
+
+// DurableStats snapshots every partition's WAL and snapshot counters,
+// indexed by partition; nil when the partitions do not persist.
+func (s *Store) DurableStats() []match.DurableStats {
+	out := make([]match.DurableStats, len(s.parts))
+	for i, g := range s.parts {
+		l, ok := g.primary().(*Local)
+		if !ok || l.Durable() == nil {
+			return nil
+		}
+		out[i] = l.Durable().DurableStats()
 	}
 	return out
 }

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"slices"
 	"strings"
 	"sync"
@@ -88,7 +90,8 @@ func flatOracle(t *testing.T, st *match.Store, probe []string, k int) []match.Sc
 // must answer every resolve with the identical ranked slice — same IDs,
 // same rank bits, same order — across partition counts, replica counts and
 // pruning configs (including an aggressive MaxBlockSize where the census
-// verdict decides most probes).
+// verdict decides most probes — or, with one partition, the partition's
+// own posting lists do, with no census at all).
 func TestFuzzPartitionedMatchesFlat(t *testing.T) {
 	const arity = 2
 	cases := []struct {
@@ -96,6 +99,7 @@ func TestFuzzPartitionedMatchesFlat(t *testing.T) {
 		cfg             match.Config
 	}{
 		{parts: 1, replicas: 1, cfg: match.Config{}},
+		{parts: 1, replicas: 1, cfg: match.Config{MaxBlockSize: 3}},
 		{parts: 2, replicas: 1, cfg: match.Config{}},
 		{parts: 3, replicas: 2, cfg: match.Config{MaxBlockSize: 3}},
 		{parts: 5, replicas: 1, cfg: match.Config{MaxBlockSize: 2, MinSharedTokens: 2}},
@@ -114,6 +118,14 @@ func TestFuzzPartitionedMatchesFlat(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			// unpruned sees the same records and probes with pruning off:
+			// the candidates the pruned stores returned below it show that
+			// pruning fired.
+			unpruned, err := match.New(arity, match.Config{MaxBlockSize: -1, MinSharedTokens: tc.cfg.MinSharedTokens})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var ps0 match.ProbeScratch
 			var live []uint64
 			resolves := 0
 			for op := 0; op < 1500; op++ {
@@ -128,6 +140,7 @@ func TestFuzzPartitionedMatchesFlat(t *testing.T) {
 					if err != nil {
 						t.Fatalf("op %d: flat add: %v", op, err)
 					}
+					unpruned.Add(vals)
 					if gotID != wantID {
 						t.Fatalf("op %d: partitioned assigned ID %d, flat assigned %d", op, gotID, wantID)
 					}
@@ -143,6 +156,7 @@ func TestFuzzPartitionedMatchesFlat(t *testing.T) {
 					if want := flat.Delete(id); got != want {
 						t.Fatalf("op %d: delete(%d): partitioned=%v flat=%v", op, id, got, want)
 					}
+					unpruned.Delete(id)
 				default:
 					probe := randValues(rng, arity)
 					k := 1 + rng.Intn(5)
@@ -151,6 +165,9 @@ func TestFuzzPartitionedMatchesFlat(t *testing.T) {
 						t.Fatalf("op %d: partitioned resolve: %v", op, err)
 					}
 					want := flatOracle(t, flat, probe, k)
+					if _, err := unpruned.AppendCandidates(nil, probe, &ps0); err != nil {
+						t.Fatal(err)
+					}
 					if !slices.Equal(got, want) {
 						t.Fatalf("op %d: resolve(%v, k=%d) diverged (%d live records)\npartitioned: %v\nflat:        %v",
 							op, probe, k, len(live), got, want)
@@ -164,11 +181,22 @@ func TestFuzzPartitionedMatchesFlat(t *testing.T) {
 			if ps.Len() != flat.Len() {
 				t.Fatalf("live counts diverged: partitioned %d, flat %d", ps.Len(), flat.Len())
 			}
-			// With the aggressive bounds the census must actually have
-			// pruned — otherwise the skip path was never under test.
+			// With the aggressive bounds pruning must actually have fired —
+			// otherwise the pruning path was never under test. More than
+			// one partition prunes through the census's skip list; one
+			// partition keeps no census and prunes on its own postings.
 			if tc.cfg.MaxBlockSize > 0 && tc.cfg.MaxBlockSize <= 3 {
-				if st := ps.Stats(); st.PrunedTokens == 0 {
+				st := ps.Stats()
+				if tc.parts > 1 && st.PrunedTokens == 0 {
 					t.Fatal("aggressive MaxBlockSize never pruned a probe token; the census path was not exercised")
+				}
+				if tc.parts == 1 {
+					if st.CensusTokens != 0 || st.PrunedTokens != 0 {
+						t.Fatalf("one partition kept a census: %d tokens, %d pruned", st.CensusTokens, st.PrunedTokens)
+					}
+					if got, all := ps.MatchStats().Candidates, unpruned.Stats().Candidates; got >= all {
+						t.Fatalf("the partition returned %d candidates, unpruned %d; its own pruning never fired", got, all)
+					}
 				}
 			}
 		})
@@ -340,6 +368,74 @@ func TestDurableRestart(t *testing.T) {
 	}
 	if id != nextID {
 		t.Errorf("post-restart add assigned %d, want %d", id, nextID)
+	}
+}
+
+// TestOpenDurableRefusesFlatDir: a data dir a flat match.OpenDurable store
+// wrote is refused with the fix in the error, and after that fix — its
+// files moved into part-000 — it opens as one partition with the same
+// records under the same IDs.
+func TestOpenDurableRefusesFlatDir(t *testing.T) {
+	dir := t.TempDir()
+	dopts := match.DurableOptions{Sync: wal.SyncNever, SnapshotEvery: 40}
+	flat, err := match.OpenDurable(dir, 2, match.Config{}, dopts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(3))
+	for i := 0; i < 100; i++ {
+		if _, err := flat.Add(randValues(rng, 2)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for id := uint64(0); id < 100; id += 7 {
+		if _, err := flat.Delete(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := map[uint64][]string{}
+	flat.Range(func(id uint64, values []string) bool {
+		want[id] = values
+		return true
+	})
+	nextID := flat.NextID()
+	if err := flat.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	opts := Options{Partitions: 1, Scorer: fakeScorer{}, Durable: dopts}
+	_, err = OpenDurable(dir, 2, opts)
+	if err == nil || !strings.Contains(err.Error(), "part-000") {
+		t.Fatalf("flat data dir open = %v, want a refusal naming part-000", err)
+	}
+	part := filepath.Join(dir, partDirName(0))
+	if err := os.Mkdir(part, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		if !e.IsDir() {
+			if err := os.Rename(filepath.Join(dir, e.Name()), filepath.Join(part, e.Name())); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+
+	ps, err := OpenDurable(dir, 2, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ps.Close()
+	if ps.Len() != len(want) || ps.NextID() != nextID {
+		t.Fatalf("migrated store: %d records, next ID %d; want %d, %d", ps.Len(), ps.NextID(), len(want), nextID)
+	}
+	for id, vals := range want {
+		if got, ok := ps.Get(id); !ok || !slices.Equal(got, vals) {
+			t.Fatalf("record %d after the move = %v (found %v), want %v", id, got, ok, vals)
+		}
 	}
 }
 

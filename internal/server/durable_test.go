@@ -9,31 +9,29 @@ import (
 
 	learnrisk "repro"
 	"repro/internal/match"
+	"repro/internal/partition"
 	"repro/internal/wal"
 )
 
 // newDurableServer stands the HTTP stack up around a durable record store
-// rooted at dir, the way cmd/serve -data-dir does.
-func newDurableServer(t *testing.T, dir string) (*learnrisk.Workload, *learnrisk.Model, *Server, *httptest.Server, *match.DurableStore) {
+// of parts partitions rooted at dir, the way cmd/serve -data-dir does: New,
+// the pending gate closed, the store opened and installed.
+func newDurableServer(t *testing.T, dir string, parts int) (*learnrisk.Workload, *Server, *httptest.Server, *partition.Store) {
 	t.Helper()
 	w, m := trainedModel(t, 7)
-	srv := New(m, Config{})
-	d, err := m.OpenDurableMatchStore(dir, learnrisk.MatchConfig{}, match.DurableOptions{
-		Sync: wal.SyncNever, SnapshotEvery: -1,
-	})
+	srv := New(m, Config{Partitions: parts})
+	srv.SetDurablePending()
+	ps, err := srv.OpenDurableStore(dir, match.DurableOptions{Sync: wal.SyncNever, SnapshotEvery: -1}, nil)
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := srv.InstallDurableStore(d); err != nil {
 		t.Fatal(err)
 	}
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(func() {
 		ts.Close()
 		srv.Close()
-		d.Close()
+		ps.Close()
 	})
-	return w, m, srv, ts, d
+	return w, srv, ts, ps
 }
 
 // TestDurableServerRestartServesIdenticalResolves is the acceptance check:
@@ -42,7 +40,7 @@ func newDurableServer(t *testing.T, dir string) (*learnrisk.Workload, *learnrisk
 // no re-ingest, and demand byte-identical resolve responses.
 func TestDurableServerRestartServesIdenticalResolves(t *testing.T) {
 	dir := t.TempDir()
-	w, _, srv1, ts1, d1 := newDurableServer(t, dir)
+	w, srv1, ts1, ps1 := newDurableServer(t, dir, 1)
 
 	n := w.NumRightRecords()
 	if n > 50 {
@@ -77,23 +75,23 @@ func TestDurableServerRestartServesIdenticalResolves(t *testing.T) {
 			t.Fatalf("resolve %d = %d", i, code)
 		}
 	}
-	liveBefore := srv1.MatchStore().Len()
+	liveBefore := srv1.Live()
 
 	// Clean shutdown: drain HTTP, stop the batcher, close the store (which
 	// rolls the tail into a final snapshot).
 	ts1.Close()
 	srv1.Close()
-	if err := d1.Close(); err != nil {
+	if err := ps1.Close(); err != nil {
 		t.Fatal(err)
 	}
 
 	// "Restart": a fresh process on the same data dir, zero re-ingest.
-	_, _, srv2, ts2, d2 := newDurableServer(t, dir)
-	if rs := d2.ReplayStats(); rs.TailFrames != 0 {
+	_, srv2, ts2, ps2 := newDurableServer(t, dir, 1)
+	if rs := ps2.DurableStats()[0].Replay; rs.TailFrames != 0 {
 		t.Errorf("clean restart replayed %d tail frames, want 0 (%+v)", rs.TailFrames, rs)
 	}
-	if srv2.MatchStore().Len() != liveBefore {
-		t.Fatalf("restart serves %d live records, want %d", srv2.MatchStore().Len(), liveBefore)
+	if srv2.Live() != liveBefore {
+		t.Fatalf("restart serves %d live records, want %d", srv2.Live(), liveBefore)
 	}
 	for i, p := range probes {
 		var got ResolveResponse
@@ -117,9 +115,9 @@ func TestDurableServerRestartServesIdenticalResolves(t *testing.T) {
 
 // TestDurablePendingGate: while the data dir is still replaying in the
 // background, mutations and snapshot triggers answer 503 (ErrStoreLoading)
-// and scoring keeps working; InstallDurableStore opens the gate.
+// and scoring keeps working; installing the replayed store opens the gate.
 func TestDurablePendingGate(t *testing.T) {
-	w, m, srv, ts := newTestServer(t, Config{})
+	w, _, srv, ts := newTestServer(t, Config{})
 	srv.SetDurablePending()
 
 	var out map[string]any
@@ -139,22 +137,17 @@ func TestDurablePendingGate(t *testing.T) {
 		t.Errorf("score while replaying = %d, want 200", code)
 	}
 
-	d, err := m.OpenDurableMatchStore(t.TempDir(), learnrisk.MatchConfig{}, match.DurableOptions{
-		Sync: wal.SyncNever, SnapshotEvery: -1,
-	})
+	ps, err := srv.OpenDurableStore(t.TempDir(), match.DurableOptions{Sync: wal.SyncNever, SnapshotEvery: -1}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer d.Close()
-	if err := srv.InstallDurableStore(d); err != nil {
-		t.Fatal(err)
-	}
+	defer ps.Close()
 	var rec RecordResponse
 	if code := postJSON(t, ts.URL+"/v1/records", RecordRequest{Values: vals}, &rec); code != http.StatusOK {
 		t.Fatalf("add after install = %d, want 200", code)
 	}
-	if d.Len() != 1 {
-		t.Errorf("record did not land in the durable store (live=%d)", d.Len())
+	if ps.Len() != 1 || ps.DurableStats()[0].WALAppends != 1 {
+		t.Errorf("record did not land in the durable store (live=%d)", ps.Len())
 	}
 }
 
@@ -172,7 +165,7 @@ func TestSnapshotEndpointWithoutDurableStore(t *testing.T) {
 // replaying), a forced schema-changing swap is refused — the data dir's
 // records are shaped for the served schema.
 func TestDurableRefusesSchemaSwap(t *testing.T) {
-	_, _, srv, _, _ := newDurableServer(t, t.TempDir())
+	_, srv, _, _ := newDurableServer(t, t.TempDir(), 1)
 	_, ab := trainedModelAB(t)
 	if err := srv.Swap(ab, true); !errors.Is(err, ErrDurableSchemaSwap) {
 		t.Fatalf("forced cross-schema swap with durable store = %v, want ErrDurableSchemaSwap", err)
@@ -184,16 +177,45 @@ func TestDurableRefusesSchemaSwap(t *testing.T) {
 
 	// The pending window refuses too: the replay about to finish would
 	// install records for the old schema into a server serving the new one.
-	w2, m2 := trainedModel(t, 7)
-	_ = w2
+	_, m2 := trainedModel(t, 7)
 	srv2 := New(m2, Config{})
 	defer srv2.Close()
 	srv2.SetDurablePending()
 	if err := srv2.Swap(ab, true); !errors.Is(err, ErrDurableSchemaSwap) {
 		t.Fatalf("forced cross-schema swap while pending = %v, want ErrDurableSchemaSwap", err)
 	}
-	srv2.AbandonDurablePending()
-	if err := srv2.Swap(ab, true); err != nil {
-		t.Fatalf("forced swap after abandoning the pending gate: %v", err)
+}
+
+// TestDurableStoreFollowsHotSwap: the durable store's partitions score
+// through the served model, so after a same-schema hot swap a resolve
+// ranks and scores with the new model — exactly Model.Resolve of the new
+// model on a bare store holding the same records.
+func TestDurableStoreFollowsHotSwap(t *testing.T) {
+	w, srv, ts, _ := newDurableServer(t, t.TempDir(), 1)
+	_, next := trainedModel(t, 11)
+	if next.Fingerprint() != srv.Model().Fingerprint() {
+		t.Fatal("retrained model changed the schema fingerprint")
+	}
+	st, err := next.NewMatchStore(learnrisk.MatchConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 40; i++ {
+		vals, _ := w.RightRecordAt(i)
+		addRecord(t, ts.URL, vals)
+		st.Add(vals)
+	}
+	if err := srv.Swap(next, false); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 8; i++ {
+		probe, _ := w.RightRecordAt(i * 5)
+		var got ResolveResponse
+		if code := postJSON(t, ts.URL+"/v1/resolve", ResolveRequest{Values: probe, K: 5}, &got); code != http.StatusOK {
+			t.Fatalf("resolve %d = %d", i, code)
+		}
+		if want := wantMatches(t, next, st, probe, 5); !reflect.DeepEqual(got.Matches, want) {
+			t.Fatalf("probe %d after the swap\ngot:  %+v\nwant: %+v", i, got.Matches, want)
+		}
 	}
 }

@@ -56,10 +56,10 @@ type ResolveResponse struct {
 }
 
 // SnapshotResponse answers POST /v1/snapshot: the durable-store snapshot
-// that was just cut and published. On a partitioned server the top-level
-// fields aggregate (records and bytes summed, millis and seq the maximum
-// across partitions — snapshots cut concurrently) and Partitions carries
-// the per-partition breakdown.
+// that was just cut and published. The top-level fields aggregate over the
+// partitions (records and bytes summed, millis and seq the maximum —
+// snapshots cut concurrently); with more than one partition, Partitions
+// carries the per-partition breakdown.
 type SnapshotResponse struct {
 	Seq        uint64             `json:"seq"`
 	Records    int                `json:"records"`
@@ -159,7 +159,7 @@ func (s *Server) handleResolve(w http.ResponseWriter, r *http.Request) {
 
 // handleSnapshot is the admin trigger for a durable-store snapshot (cut
 // the surviving record set to disk now and truncate the covered log —
-// every partition concurrently on a partitioned server). 409 on an
+// every partition concurrently). 409 on an
 // in-memory server, 503 while the durable store is still replaying.
 func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 	infos, err := s.TriggerSnapshot()
@@ -187,8 +187,8 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleReadyz is the readiness probe: 200 once a model is served AND any
-// front-end warm-load has finished (SetReady) AND, on a partitioned
-// server, every partition has finished replaying, 503 with the blocking
+// front-end warm-load has finished (SetReady) AND every partition has
+// finished replaying, 503 with the blocking
 // reason — and the per-partition reason list — before that. Load
 // balancers gate traffic on this; liveness (/healthz) stays green
 // throughout so the process is not restarted for merely being slow to
@@ -205,13 +205,10 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusServiceUnavailable, body)
 		return
 	}
-	body := map[string]any{
-		"status":  "ready",
-		"model":   s.Model().Fingerprint(),
-		"records": s.Live(),
-	}
-	if ps := s.Partitioned(); ps != nil {
-		body["partitions"] = ps.Partitions()
-	}
-	writeJSON(w, http.StatusOK, body)
+	writeJSON(w, http.StatusOK, map[string]any{
+		"status":     "ready",
+		"model":      s.Model().Fingerprint(),
+		"records":    s.Live(),
+		"partitions": s.Partitioned().Partitions(),
+	})
 }

@@ -3,9 +3,11 @@ package server
 import (
 	"context"
 	"log/slog"
+	"path/filepath"
 	"sync/atomic"
 	"time"
 
+	"repro/internal/match"
 	"repro/internal/obs"
 )
 
@@ -150,12 +152,13 @@ func registerServerMetrics(s *Server, reg *obs.Registry) {
 	reg.Func("served_pairs", func() any { return s.Served() })
 	reg.Func("model_swaps", func() any { return s.Swaps() })
 
-	// Match-store counters as one tree: a single Stats() sweep per scrape
-	// (Stats briefly takes every shard lock, so one consistent snapshot
-	// beats five contending ones), re-read from the current store so the
-	// counters follow a forced schema-changing swap.
+	// Match-store counters as one tree, summed over the partitions: a
+	// single sweep per scrape (Stats briefly takes every shard lock, so one
+	// consistent snapshot beats five contending ones), re-read from the
+	// current store so the counters follow a forced schema-changing swap.
+	// Probes count partition legs (see partition.Store.MatchStats).
 	reg.Func("match_store", func() any {
-		st := s.MatchStore().Stats()
+		st := s.Partitioned().MatchStats()
 		mean := 0.0
 		if st.Probes > 0 {
 			mean = float64(st.Candidates) / float64(st.Probes)
@@ -173,23 +176,16 @@ func registerServerMetrics(s *Server, reg *obs.Registry) {
 		}
 	})
 
-	// Per-shard index counters (skew at a glance): the flat store's
-	// shards, or every partition's shards on a partitioned server.
+	// Per-shard index counters (skew at a glance), per partition.
 	reg.Func("match_shard_stats", func() any {
-		if ps := s.Partitioned(); ps != nil {
-			return map[string]any{"partitioned": true, "partitions": ps.PartitionShardStats()}
-		}
-		return map[string]any{"partitioned": false, "shards": s.MatchStore().ShardStats()}
+		return map[string]any{"partitioned": true, "partitions": s.Partitioned().PartitionShardStats()}
 	})
 
-	// Scatter-gather router counters. Registered even on a flat server
-	// (as {"enabled": false}) so dashboards can tell "not partitioned"
-	// from "metric missing".
+	// Scatter-gather router counters. With one partition there is no
+	// census, so pruned_tokens and census_tokens read 0 while the
+	// partition prunes locally.
 	reg.Func("partition_stats", func() any {
 		ps := s.Partitioned()
-		if ps == nil {
-			return map[string]any{"enabled": false}
-		}
 		st := ps.Stats()
 		return map[string]any{
 			"enabled":       true,
@@ -205,15 +201,16 @@ func registerServerMetrics(s *Server, reg *obs.Registry) {
 		}
 	})
 
-	// Durability counters, one consistent DurableStats sweep per scrape.
-	// Registered even on an in-memory server (as {"enabled": false}) so
-	// dashboards can tell "no durability" from "metric missing".
+	// Durability counters, one DurableStats sweep per scrape, summed over
+	// the partitions. Registered even on an in-memory server (as
+	// {"enabled": false}) so dashboards can tell "no durability" from
+	// "metric missing".
 	reg.Func("wal_stats", func() any {
-		d := s.Durable()
-		if d == nil {
+		ds := s.Partitioned().DurableStats()
+		if ds == nil {
 			return map[string]any{"enabled": false}
 		}
-		st := d.DurableStats()
+		st := sumDurable(ds)
 		return map[string]any{
 			"enabled":       true,
 			"dir":           st.Dir,
@@ -226,11 +223,11 @@ func registerServerMetrics(s *Server, reg *obs.Registry) {
 		}
 	})
 	reg.Func("snapshot_stats", func() any {
-		d := s.Durable()
-		if d == nil {
+		ds := s.Partitioned().DurableStats()
+		if ds == nil {
 			return map[string]any{"enabled": false}
 		}
-		st := d.DurableStats()
+		st := sumDurable(ds)
 		return map[string]any{
 			"enabled":             true,
 			"snapshots":           st.Snapshots,
@@ -244,4 +241,31 @@ func registerServerMetrics(s *Server, reg *obs.Registry) {
 			"replay_millis":       st.Replay.Duration.Milliseconds(),
 		}
 	})
+}
+
+// sumDurable folds the per-partition durability counters into one
+// store-wide view: counts and sizes add up; sequence numbers, the last
+// snapshot's and the replay's durations take the maximum (partitions
+// snapshot and replay concurrently); a torn tail in any partition counts.
+// Dir is the data dir holding the part-NNN subdirectories.
+func sumDurable(ds []match.DurableStats) match.DurableStats {
+	t := match.DurableStats{Dir: filepath.Dir(ds[0].Dir)}
+	for _, d := range ds {
+		t.WALSeq = max(t.WALSeq, d.WALSeq)
+		t.WALSegmentBytes += d.WALSegmentBytes
+		t.WALAppends += d.WALAppends
+		t.WALBytes += d.WALBytes
+		t.WALSyncs += d.WALSyncs
+		t.TailOps += d.TailOps
+		t.Snapshots += d.Snapshots
+		t.SnapshotSeq = max(t.SnapshotSeq, d.SnapshotSeq)
+		t.SnapshotRecords += d.SnapshotRecords
+		t.SnapshotBytes += d.SnapshotBytes
+		t.SnapshotMillis = max(t.SnapshotMillis, d.SnapshotMillis)
+		t.Replay.TailFrames += d.Replay.TailFrames
+		t.Replay.SnapshotRecords += d.Replay.SnapshotRecords
+		t.Replay.TornTail = t.Replay.TornTail || d.Replay.TornTail
+		t.Replay.Duration = max(t.Replay.Duration, d.Replay.Duration)
+	}
+	return t
 }

@@ -9,7 +9,6 @@ import (
 	"testing"
 	"time"
 
-	learnrisk "repro"
 	"repro/internal/match"
 	"repro/internal/obs"
 	"repro/internal/wal"
@@ -117,8 +116,11 @@ func TestMetricsEndToEnd(t *testing.T) {
 		"served_pairs 1",
 		"match_store_records_indexed 1",
 		"match_store_resolves 1",
-		"match_shard_stats_partitioned 0",
-		"partition_stats_enabled 0",
+		"match_store_records_live 0",
+		"match_shard_stats_partitioned 1",
+		"partition_stats_enabled 1",
+		"partition_stats_partitions 1",
+		"partition_stats_census_tokens 0",
 		"wal_stats_enabled 0",
 		"snapshot_stats_enabled 0",
 	} {
@@ -181,18 +183,15 @@ func TestMetricsDurableStages(t *testing.T) {
 	reg := obs.NewRegistry()
 	w, m := trainedModel(t, 7)
 	srv := New(m, Config{Obs: reg})
-	d, err := m.OpenDurableMatchStore(t.TempDir(), learnrisk.MatchConfig{}, match.DurableOptions{
+	ps, err := srv.OpenDurableStore(t.TempDir(), match.DurableOptions{
 		Sync: wal.SyncAlways, SnapshotEvery: -1,
 		OnStage: srv.ObserveStage,
-	})
+	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := srv.InstallDurableStore(d); err != nil {
-		t.Fatal(err)
-	}
 	ts := newHTTPServer(t, srv)
-	t.Cleanup(func() { d.Close() })
+	t.Cleanup(func() { ps.Close() })
 
 	vals, _ := w.RightRecordAt(0)
 	id := addRecord(t, ts.URL, vals)
@@ -214,6 +213,50 @@ func TestMetricsDurableStages(t *testing.T) {
 		"wal_stats_appends 2",
 		"snapshot_stats_enabled 1",
 		"snapshot_stats_snapshots 1",
+	} {
+		if !strings.Contains(out, want) {
+			t.Errorf("scrape missing %q", want)
+		}
+	}
+}
+
+// TestMetricsDurablePartitions pins the store trees on a durable
+// 2-partition server (the ingest benchmark's layout): match_store counts
+// every partition's records and wal_stats sums every partition's log.
+func TestMetricsDurablePartitions(t *testing.T) {
+	reg := obs.NewRegistry()
+	w, m := trainedModel(t, 7)
+	srv := New(m, Config{Partitions: 2, Obs: reg})
+	ps, err := srv.OpenDurableStore(t.TempDir(), match.DurableOptions{Sync: wal.SyncNever, SnapshotEvery: -1}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := newHTTPServer(t, srv)
+	t.Cleanup(func() { ps.Close() })
+
+	for i := 0; i < 6; i++ {
+		vals, _ := w.RightRecordAt(i)
+		addRecord(t, ts.URL, vals)
+	}
+	if code := deleteRecord(t, ts.URL, 4); code != http.StatusOK {
+		t.Fatalf("delete = %d", code)
+	}
+	if srv.Live() != 5 {
+		t.Fatalf("Live() = %d, want 5", srv.Live())
+	}
+	if recs := ps.Stats().Records; recs[0] == 0 || recs[1] == 0 {
+		t.Fatalf("records per partition %v: the test needs both partitions populated", recs)
+	}
+
+	out := scrapeMetrics(t, ts.URL)
+	for _, want := range []string{
+		"match_store_records_live 5",
+		"match_store_records_indexed 6",
+		"match_store_records_deleted 1",
+		"wal_stats_enabled 1",
+		"wal_stats_appends 7",
+		"snapshot_stats_enabled 1",
+		"partition_stats_durable 1",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("scrape missing %q", want)

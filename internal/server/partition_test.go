@@ -5,23 +5,46 @@ import (
 	"encoding/json"
 	"errors"
 	"net/http"
-	"net/http/httptest"
 	"reflect"
 	"sync"
 	"testing"
 
 	learnrisk "repro"
 	"repro/internal/match"
-	"repro/internal/wal"
 )
 
+// wantMatches is the oracle for a resolve response: Model.Resolve on a
+// bare flat match store, rendered the way handleResolve renders it.
+func wantMatches(t *testing.T, m *learnrisk.Model, st *match.Store, probe []string, k int) []ResolveMatch {
+	t.Helper()
+	res, err := m.Resolve(st, probe, k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make([]ResolveMatch, len(res))
+	for i, mr := range res {
+		vals, _ := st.Get(mr.ID)
+		out[i] = ResolveMatch{
+			ID: mr.ID, Values: vals,
+			Prob: mr.Score.Prob, Match: mr.Score.Match,
+			Risk: mr.Score.Risk, Mu: mr.Score.Mu, Sigma: mr.Score.Sigma,
+		}
+	}
+	return out
+}
+
 // TestPartitionedServerMatchesFlat drives the same ingest + delete +
-// resolve traffic through a flat server and a 4-partition server and
-// demands byte-identical resolve responses: partitioning is a deployment
-// knob, not a semantics change.
+// resolve traffic through a 1-partition and a 4-partition server and
+// demands byte-identical resolve responses from both, equal to
+// Model.Resolve on a bare flat match store fed the same records:
+// partitioning is a deployment knob, not a semantics change.
 func TestPartitionedServerMatchesFlat(t *testing.T) {
-	w, _, flatSrv, flatTS := newTestServer(t, Config{})
-	_, _, partSrv, partTS := newTestServer(t, Config{Partitions: 4, Replicas: 2})
+	w, m, oneSrv, oneTS := newTestServer(t, Config{})
+	_, _, fourSrv, fourTS := newTestServer(t, Config{Partitions: 4, Replicas: 2})
+	flat, err := m.NewMatchStore(learnrisk.MatchConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	n := w.NumRightRecords()
 	if n > 60 {
@@ -29,38 +52,44 @@ func TestPartitionedServerMatchesFlat(t *testing.T) {
 	}
 	for i := 0; i < n; i++ {
 		vals, _ := w.RightRecordAt(i)
-		fid := addRecord(t, flatTS.URL, vals)
-		pid := addRecord(t, partTS.URL, vals)
-		if fid != pid {
-			t.Fatalf("record %d: flat ID %d, partitioned ID %d", i, fid, pid)
+		want, err := flat.Add(vals)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if one, four := addRecord(t, oneTS.URL, vals), addRecord(t, fourTS.URL, vals); one != want || four != want {
+			t.Fatalf("record %d: IDs 1-partition %d, 4-partition %d, flat %d", i, one, four, want)
 		}
 	}
 	for _, id := range []uint64{2, 9, 17} {
-		if code := deleteRecord(t, flatTS.URL, id); code != http.StatusOK {
-			t.Fatalf("flat DELETE %d = %d", id, code)
-		}
-		if code := deleteRecord(t, partTS.URL, id); code != http.StatusOK {
-			t.Fatalf("partitioned DELETE %d = %d", id, code)
+		flat.Delete(id)
+		for _, base := range []string{oneTS.URL, fourTS.URL} {
+			if code := deleteRecord(t, base, id); code != http.StatusOK {
+				t.Fatalf("DELETE %d on %s = %d", id, base, code)
+			}
 		}
 	}
-	if flatSrv.Live() != partSrv.Live() {
-		t.Fatalf("live diverged: flat %d, partitioned %d", flatSrv.Live(), partSrv.Live())
+	if oneSrv.Live() != flat.Len() || fourSrv.Live() != flat.Len() {
+		t.Fatalf("live diverged: 1-partition %d, 4-partition %d, flat %d", oneSrv.Live(), fourSrv.Live(), flat.Len())
 	}
 	for i := 0; i < 12; i++ {
 		probe, _ := w.RightRecordAt(i * 4)
-		var flat, part ResolveResponse
-		if code := postJSON(t, flatTS.URL+"/v1/resolve", ResolveRequest{Values: probe, K: 5}, &flat); code != http.StatusOK {
-			t.Fatalf("flat resolve %d = %d", i, code)
+		want := wantMatches(t, m, flat, probe, 5)
+		var one, four ResolveResponse
+		if code := postJSON(t, oneTS.URL+"/v1/resolve", ResolveRequest{Values: probe, K: 5}, &one); code != http.StatusOK {
+			t.Fatalf("1-partition resolve %d = %d", i, code)
 		}
-		if code := postJSON(t, partTS.URL+"/v1/resolve", ResolveRequest{Values: probe, K: 5}, &part); code != http.StatusOK {
-			t.Fatalf("partitioned resolve %d = %d", i, code)
+		if code := postJSON(t, fourTS.URL+"/v1/resolve", ResolveRequest{Values: probe, K: 5}, &four); code != http.StatusOK {
+			t.Fatalf("4-partition resolve %d = %d", i, code)
 		}
-		if !reflect.DeepEqual(flat.Matches, part.Matches) {
-			t.Fatalf("probe %d diverged\nflat:        %+v\npartitioned: %+v", i, flat.Matches, part.Matches)
+		if !reflect.DeepEqual(one.Matches, want) || !reflect.DeepEqual(four.Matches, want) {
+			t.Fatalf("probe %d diverged\n1-partition: %+v\n4-partition: %+v\nflat:        %+v", i, one.Matches, four.Matches, want)
 		}
 	}
-	if st := partSrv.Partitioned().Stats(); st.Probes == 0 {
-		t.Error("partitioned store served no scatter-gather probes")
+	if st := fourSrv.Partitioned().Stats(); st.Probes == 0 {
+		t.Error("4-partition store served no scatter-gather probes")
+	}
+	if st := oneSrv.Partitioned().Stats(); st.Probes == 0 || st.CensusTokens != 0 || st.PrunedTokens != 0 {
+		t.Errorf("1-partition store stats %+v: want probes and no census", st)
 	}
 }
 
@@ -155,38 +184,13 @@ func TestPartitionReadyzAggregation(t *testing.T) {
 	}
 }
 
-// newPartitionedDurableServer stands the stack up the way cmd/serve
-// -data-dir -partitions does: New in partitioned mode, the pending gate
-// closed, the durable partitioned store opened and installed.
-func newPartitionedDurableServer(t *testing.T, dir string, parts int) (*learnrisk.Workload, *Server, *httptest.Server, *learnrisk.PartitionedMatchStore) {
-	t.Helper()
-	w, m := trainedModel(t, 7)
-	srv := New(m, Config{Partitions: parts})
-	srv.SetDurablePending()
-	ps, err := m.OpenDurablePartitionedMatchStore(dir, parts, 1, learnrisk.MatchConfig{},
-		match.DurableOptions{Sync: wal.SyncNever, SnapshotEvery: -1}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := srv.InstallPartitionedStore(ps); err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(srv.Handler())
-	t.Cleanup(func() {
-		ts.Close()
-		srv.Close()
-		ps.Close()
-	})
-	return w, srv, ts, ps
-}
-
 // TestPartitionedDurableServer covers the durable partitioned loop: the
 // pending gate refuses mutations, an installed store serves them, a
 // mid-load snapshot drops zero in-flight resolves, and a restart on the
 // same dir serves identical answers.
 func TestPartitionedDurableServer(t *testing.T) {
 	dir := t.TempDir()
-	w, srv, ts, _ := newPartitionedDurableServer(t, dir, 3)
+	w, srv, ts, _ := newDurableServer(t, dir, 3)
 
 	// Before install the pending gate refuses; pin it via a second server.
 	{
@@ -275,7 +279,7 @@ func TestPartitionedDurableServer(t *testing.T) {
 	ts.Close()
 	srv.Close()
 
-	_, srv2, ts2, _ := newPartitionedDurableServer(t, dir, 3)
+	_, srv2, ts2, _ := newDurableServer(t, dir, 3)
 	if srv2.Live() != liveBefore {
 		t.Fatalf("restart serves %d live records, want %d", srv2.Live(), liveBefore)
 	}
@@ -290,7 +294,7 @@ func TestPartitionedDurableServer(t *testing.T) {
 	}
 }
 
-// TestPartitionedSchemaSwap pins swap semantics in partitioned mode: a
+// TestPartitionedSchemaSwap pins swap semantics with 2 partitions: a
 // forced cross-schema swap rebuilds the in-memory partitioned store for
 // the new arity, and is refused outright when the partitions are durable.
 func TestPartitionedSchemaSwap(t *testing.T) {
@@ -317,7 +321,7 @@ func TestPartitionedSchemaSwap(t *testing.T) {
 		t.Errorf("rebuilt partitioned store live = %d, want 0", srv.Live())
 	}
 
-	_, durSrv, _, _ := newPartitionedDurableServer(t, t.TempDir(), 2)
+	_, durSrv, _, _ := newDurableServer(t, t.TempDir(), 2)
 	if err := durSrv.Swap(ab, true); !errors.Is(err, ErrDurableSchemaSwap) {
 		t.Errorf("forced cross-schema swap on durable partitions = %v, want ErrDurableSchemaSwap", err)
 	}

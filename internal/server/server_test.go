@@ -418,7 +418,7 @@ func TestServerScoreAfterClose(t *testing.T) {
 
 func TestConfigDefaults(t *testing.T) {
 	cfg := Config{}.withDefaults()
-	if cfg.MaxBatch != 64 || cfg.MaxLinger != 2*time.Millisecond {
+	if cfg.MaxBatch != 64 || cfg.MaxLinger != 2*time.Millisecond || cfg.Partitions != 1 || cfg.Replicas != 1 || cfg.MaxPending != 256 {
 		t.Fatalf("defaults = %+v", cfg)
 	}
 	// Explicit values survive.

@@ -28,22 +28,6 @@ type PartitionedMatchStore = partition.Store
 // internal heap's element so partition scorers and the facade share it.
 type ScoredMatch = match.Scored
 
-// NewPartitionedMatchStore builds an empty in-memory partitioned store
-// bound to the model's schema: partitions independent match stores behind
-// one router, records routed by consistent-hashed global IDs, probes
-// scattered to all partitions and gathered through an order-stable top-k
-// merge, with cfg.MaxBlockSize enforced globally by the router's token
-// census. replicas > 1 adds read-replica fan-out per partition
-// (power-of-two-choices on in-flight counts).
-func (m *Model) NewPartitionedMatchStore(partitions, replicas int, cfg MatchConfig) (*PartitionedMatchStore, error) {
-	return partition.New(len(m.attrs), partition.Options{
-		Partitions: partitions,
-		Replicas:   replicas,
-		Match:      cfg,
-		Scorer:     m,
-	})
-}
-
 // OpenDurablePartitionedMatchStore opens (creating if needed) a durable
 // partitioned store rooted at dir: each partition persists into its own
 // part-NNN subdirectory (WAL + snapshots), partitions replay concurrently
@@ -81,24 +65,22 @@ func (m *Model) ResolveShard(st *MatchStore, probe []string, k int, skip []strin
 	return out, nil
 }
 
-// ResolvePartitioned finds the k best-scoring matches for one probe among
-// a partitioned store's live records: the router prunes stop tokens from
-// its global census, every partition ranks the probe concurrently through
-// ResolveShard, and the merged top k is re-scored into full verdicts.
-// The ranked slice is bit-identical to Model.Resolve against one flat
-// store holding the same records (the cross-layer equivalence test pins
-// this). Safe for concurrent use, including with Add/Delete on the store.
-func (m *Model) ResolvePartitioned(ps *PartitionedMatchStore, probe []string, k int) ([]MatchResult, error) {
-	return m.ResolvePartitionedTraced(ps, probe, k, nil)
-}
-
-// ResolvePartitionedTraced is ResolvePartitioned with request-scoped
-// stage timing: the router records census pruning, the scatter (with
-// slowest-partition attribution) and the merge; the winner re-scoring
-// here lands on StageScore. A nil trace records nothing.
+// ResolvePartitionedTraced finds the k best-scoring matches for one probe
+// among a partitioned store's live records: the router prunes stop tokens
+// from its global census (a single partition prunes locally), every
+// partition ranks the probe concurrently through ResolveShard, and the
+// merged top k is re-scored into full verdicts. The ranked slice is
+// bit-identical to Model.Resolve against one flat store holding the same
+// records (the cross-layer equivalence test pins this). Safe for
+// concurrent use, including with Add/Delete on the store.
+//
+// The trace records request-scoped stage timing: the router records census
+// pruning, the scatter (with slowest-partition attribution) and the merge;
+// the winner re-scoring here lands on StageScore. A nil trace records
+// nothing.
 func (m *Model) ResolvePartitionedTraced(ps *PartitionedMatchStore, probe []string, k int, tr *Trace) ([]MatchResult, error) {
 	if ps == nil {
-		return nil, fmt.Errorf("learnrisk: ResolvePartitioned needs a partitioned store (build one with NewPartitionedMatchStore)")
+		return nil, fmt.Errorf("learnrisk: ResolvePartitionedTraced needs a partitioned store")
 	}
 	if ps.Arity() != len(m.attrs) {
 		return nil, fmt.Errorf("learnrisk: partitioned store arity %d does not match the model schema's %d", ps.Arity(), len(m.attrs))

@@ -5,13 +5,25 @@ import (
 	"testing"
 
 	"repro/internal/match"
+	"repro/internal/partition"
 )
+
+// newPartitioned builds an in-memory partitioned store scoring through m.
+func newPartitioned(t *testing.T, m *Model, parts, replicas int, cfg MatchConfig) *PartitionedMatchStore {
+	t.Helper()
+	ps, err := partition.New(len(m.Schema()), partition.Options{Partitions: parts, Replicas: replicas, Match: cfg, Scorer: m})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ps
+}
 
 // TestResolvePartitionedMatchesFlat is the cross-layer equivalence proof
 // on the real model: a partitioned store and a flat store fed the same
 // interleaved adds and deletes must answer every probe with the identical
 // ranked verdicts — IDs, order and score bits — including under an
-// aggressive MaxBlockSize where the router's census decides the pruning.
+// aggressive MaxBlockSize where the router's census decides the pruning
+// (or, with one partition, the partition's own posting lists do).
 func TestResolvePartitionedMatchesFlat(t *testing.T) {
 	w, m := trainedModel(t)
 	right := w.inner.Right.Records
@@ -20,6 +32,7 @@ func TestResolvePartitionedMatchesFlat(t *testing.T) {
 		cfg   MatchConfig
 	}{
 		{parts: 1, cfg: MatchConfig{}},
+		{parts: 1, cfg: MatchConfig{MaxBlockSize: 4}},
 		{parts: 4, cfg: MatchConfig{}},
 		{parts: 3, cfg: MatchConfig{MaxBlockSize: 4}},
 	} {
@@ -27,10 +40,7 @@ func TestResolvePartitionedMatchesFlat(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ps, err := m.NewPartitionedMatchStore(tc.parts, 2, tc.cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
+		ps := newPartitioned(t, m, tc.parts, 2, tc.cfg)
 		rng := rand.New(rand.NewSource(int64(tc.parts)))
 		for i, r := range right {
 			fid, err := flat.Add(r.Values)
@@ -60,7 +70,7 @@ func TestResolvePartitionedMatchesFlat(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := m.ResolvePartitioned(ps, probe, 5)
+			got, err := m.ResolvePartitionedTraced(ps, probe, 5, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -111,15 +121,12 @@ func TestResolveShardHonorsSkip(t *testing.T) {
 // paths.
 func TestResolvePartitionedValidation(t *testing.T) {
 	_, m := trainedModel(t)
-	if _, err := m.ResolvePartitioned(nil, []string{"x"}, 5); err == nil {
+	if _, err := m.ResolvePartitionedTraced(nil, []string{"x"}, 5, nil); err == nil {
 		t.Error("nil store accepted")
 	}
-	ps, err := m.NewPartitionedMatchStore(2, 1, MatchConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	ps := newPartitioned(t, m, 2, 1, MatchConfig{})
 	bad := make([]string, ps.Arity()+1)
-	if _, err := m.ResolvePartitioned(ps, bad, 5); err == nil {
+	if _, err := m.ResolvePartitionedTraced(ps, bad, 5, nil); err == nil {
 		t.Error("arity-mismatched probe accepted")
 	}
 	wrongStore, err := match.New(ps.Arity()+1, match.Config{})

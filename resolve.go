@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/match"
 	"repro/internal/obs"
-	"repro/internal/par"
 )
 
 // The online resolve path: a trained Model plus a match.Store answer "here
@@ -46,23 +45,9 @@ func (m *Model) NewMatchStore(cfg MatchConfig) (*MatchStore, error) {
 	return match.New(len(m.attrs), cfg)
 }
 
-// DurableMatchStore is a MatchStore whose mutations survive restarts via a
-// write-ahead log and periodic snapshots (an alias, see MatchConfig). It
-// embeds MatchStore, so Resolve takes its .Store directly.
-type DurableMatchStore = match.DurableStore
-
 // DurableMatchOptions configures the durability layer (an alias, see
 // MatchConfig).
 type DurableMatchOptions = match.DurableOptions
-
-// OpenDurableMatchStore opens (creating if needed) a durable online record
-// store rooted at dir, bound to the model's schema arity, replaying any
-// snapshot + log tail a previous process left there. Restart-safe: records
-// added before a crash or clean shutdown are served again without
-// re-ingest.
-func (m *Model) OpenDurableMatchStore(dir string, cfg MatchConfig, opts DurableMatchOptions) (*DurableMatchStore, error) {
-	return match.OpenDurable(dir, len(m.attrs), cfg, opts)
-}
 
 // resolveScratch is one resolve worker's reusable state: the probe scratch
 // of the candidate index, the scoring scratch of the zero-alloc path, the
@@ -128,36 +113,6 @@ func (m *Model) ResolveTraced(st *MatchStore, probe []string, k int, tr *Trace) 
 	out := m.resolveTracedInto(st, probe, k, s, tr)
 	m.resolvePool.Put(s)
 	return out, nil
-}
-
-// ResolveBatch resolves several probes, sharding them across GOMAXPROCS
-// workers (internal/par). Results are in probe order; each entry is exactly
-// what Resolve returns for that probe against the same store snapshot.
-func (m *Model) ResolveBatch(st *MatchStore, probes [][]string, k int) ([][]MatchResult, error) {
-	for i, probe := range probes {
-		if err := m.checkResolve(st, probe, k); err != nil {
-			return nil, fmt.Errorf("probe %d: %w", i, err)
-		}
-	}
-	out := make([][]MatchResult, len(probes))
-	par.ForChunks(len(probes), resolveBatchChunk, func(_, lo, hi int) {
-		s := m.acquireResolveScratch()
-		for i := lo; i < hi; i++ {
-			out[i] = m.resolveInto(st, probes[i], k, s)
-		}
-		m.resolvePool.Put(s)
-	})
-	return out, nil
-}
-
-// resolveBatchChunk is the probe granularity of ResolveBatch workers: one
-// probe fans out into many candidate scorings, so chunks stay small to
-// load-balance skewed candidate counts.
-const resolveBatchChunk = 4
-
-// resolveInto runs one (already-validated) probe inside a scratch.
-func (m *Model) resolveInto(st *MatchStore, probe []string, k int, s *resolveScratch) []MatchResult {
-	return m.resolveTracedInto(st, probe, k, s, nil)
 }
 
 func (m *Model) resolveTracedInto(st *MatchStore, probe []string, k int, s *resolveScratch, tr *Trace) []MatchResult {

@@ -86,33 +86,6 @@ func TestResolveMatchesBatchPipeline(t *testing.T) {
 	}
 }
 
-// TestResolveBatchMatchesResolve pins ResolveBatch to per-probe Resolve.
-func TestResolveBatchMatchesResolve(t *testing.T) {
-	w, m, st, _ := resolveFixture(t)
-	probes := make([][]string, 0, 20)
-	for li := 0; li < len(w.inner.Left.Records) && li < 20; li++ {
-		probes = append(probes, w.inner.Left.Records[li].Values)
-	}
-	batch, err := m.ResolveBatch(st, probes, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, probe := range probes {
-		single, err := m.Resolve(st, probe, 3)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(batch[i]) != len(single) {
-			t.Fatalf("probe %d: batch %d results, single %d", i, len(batch[i]), len(single))
-		}
-		for j := range single {
-			if batch[i][j] != single[j] {
-				t.Fatalf("probe %d result %d: batch %+v, single %+v", i, j, batch[i][j], single[j])
-			}
-		}
-	}
-}
-
 // TestResolveAfterDeletes checks that deleted records drop out of resolve
 // results while everything else keeps its verdict.
 func TestResolveAfterDeletes(t *testing.T) {
@@ -160,9 +133,6 @@ func TestResolveValidation(t *testing.T) {
 	}
 	if _, err := m.Resolve(other, probe, 3); err == nil {
 		t.Error("arity-mismatched store accepted")
-	}
-	if _, err := m.ResolveBatch(st, [][]string{probe, probe[:1]}, 3); !errors.Is(err, ErrPairArity) {
-		t.Errorf("batch with short probe err = %v, want ErrPairArity", err)
 	}
 }
 
