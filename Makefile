@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build build-examples build-cmds vet lint fmtcheck test race cover allocs tier1 crash bench bench-baseline bench-serve bench-pr4 bench-pr4-baseline bench-pr5 bench-pr6 bench-pr8 bench-pr9 bench-pr10
+.PHONY: build build-examples build-cmds vet lint fmtcheck test race cover allocs tier1 crash fuzz bench bench-baseline bench-serve bench-pr4 bench-pr4-baseline bench-pr5 bench-pr6 bench-pr8 bench-pr9 bench-pr10
 
 build:
 	$(GO) build ./...
@@ -105,6 +105,21 @@ tier1: build build-examples build-cmds vet lint fmtcheck test race cover allocs
 crash:
 	$(GO) test -v -count=1 -run 'Torn|BitFlip|Oversized|ZeroFilled|Failing|Rollback' ./internal/wal/
 	$(GO) test -v -count=1 -run 'Crash|Corrupt|Stale|Damaged|FailingWAL' ./internal/match/
+
+# fuzz runs every native fuzz target (func Fuzz* in a _test.go file) for
+# FUZZTIME each, one target at a time: go test -fuzz takes a single target
+# per invocation. `make test` already replays the committed seeds under
+# each package's testdata/fuzz/; this target searches past them, and a
+# failing input it finds lands in testdata/fuzz/ to be committed as a seed.
+# Not part of tier1, since its run time is FUZZTIME times the target count.
+FUZZTIME ?= 30s
+fuzz:
+	@set -e; for f in $$(grep -rl --include='*_test.go' --exclude-dir=.bench_build --exclude-dir=perfbench '^func Fuzz' .); do \
+	  for t in $$(sed -n 's/^func \(Fuzz[A-Za-z0-9_]*\)(.*/\1/p' $$f); do \
+	    echo "fuzz: $$t in $$(dirname $$f)"; \
+	    $(GO) test -run '^$$' -fuzz "^$$t$$" -fuzztime $(FUZZTIME) $$(dirname $$f); \
+	  done; \
+	done
 
 # bench refreshes the "current" section of BENCH_PR1.json with this
 # machine's numbers; bench-baseline records the pre-change numbers before

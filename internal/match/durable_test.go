@@ -447,6 +447,11 @@ func TestConcurrentDurableAddDeleteSnapshotProbe(t *testing.T) {
 		}
 	}()
 	wg.Wait()
+	// A background snapshot claimed by the storm's last ops may still be
+	// rotating files; copyDir is not atomic, so let it finish first.
+	for d.snapPending.Load() {
+		time.Sleep(time.Millisecond)
+	}
 
 	if err := d.Sync(); err != nil {
 		t.Fatal(err)

@@ -38,6 +38,8 @@ type runeIndex struct {
 }
 
 // begin starts a fresh assignment round.
+//
+//vetkit:hotpath
 func (ri *runeIndex) begin() {
 	ri.ver++
 	if ri.ver == 0 { // uint32 wrap: stale stamps could collide
@@ -52,6 +54,8 @@ func (ri *runeIndex) begin() {
 
 // add returns the id of r, assigning the next dense id (and reporting
 // fresh=true) on first sight this round.
+//
+//vetkit:hotpath
 func (ri *runeIndex) add(r rune) (id int32, fresh bool) {
 	if r < 128 {
 		if ri.asciiVer[r] == ri.ver {
@@ -63,7 +67,7 @@ func (ri *runeIndex) add(r rune) (id int32, fresh bool) {
 		return ri.n - 1, true
 	}
 	if ri.other == nil {
-		ri.other = make(map[rune]int32)
+		ri.other = make(map[rune]int32) //vetkit:allow hotpath built once per Scratch, reused after
 	}
 	if id, ok := ri.other[r]; ok {
 		return id, false
@@ -74,6 +78,8 @@ func (ri *runeIndex) add(r rune) (id int32, fresh bool) {
 }
 
 // lookup returns the id of r or -1.
+//
+//vetkit:hotpath
 func (ri *runeIndex) lookup(r rune) int32 {
 	if r < 128 {
 		if ri.asciiVer[r] == ri.ver {
@@ -214,4 +220,105 @@ func levenshteinLen(ra, rb []rune, s *Scratch) int {
 		prev, cur = cur, prev
 	}
 	return int(prev[lb])
+}
+
+// wordMasks builds the single-word match masks of a pattern of at most 64
+// runes: afterwards s.ri maps each distinct rune of pat to an id, and bit i
+// of masks[id] is set iff pat[i] is that rune. maskOf reads them back.
+//
+//vetkit:hotpath
+func (s *Scratch) wordMasks(pat []rune) []uint64 {
+	s.ri.begin()
+	if cap(s.masks) < len(pat) {
+		s.masks = make([]uint64, len(pat)) //vetkit:allow hotpath amortized scratch growth
+	}
+	masks := s.masks[:len(pat)]
+	for i, c := range pat {
+		id, fresh := s.ri.add(c)
+		if fresh {
+			masks[id] = 0
+		}
+		masks[id] |= 1 << i
+	}
+	return masks
+}
+
+// maskOf returns the positions of r in the pattern wordMasks last indexed.
+//
+//vetkit:hotpath
+func (s *Scratch) maskOf(masks []uint64, r rune) uint64 {
+	if id := s.ri.lookup(r); id >= 0 {
+		return masks[id]
+	}
+	return 0
+}
+
+// levenshteinBits is Myers' bit-vector edit distance in Hyyrö's
+// formulation, for a pattern of 1..64 runes and a non-empty text. Bit i of
+// pv (mv) records that D[i+1][j] - D[i][j] is +1 (-1) for the current text
+// column j; one text rune updates the whole column with a few word
+// operations, and score tracks the bottom cell D[m][j]. The top row
+// D[0][j] = j shifts a +1 horizontal delta in at bit 0. Every quantity is
+// an exact integer, so the distance equals the DP's.
+//
+//vetkit:hotpath
+func levenshteinBits(pat, text []rune, s *Scratch) int {
+	masks := s.wordMasks(pat)
+	top := uint64(1) << (len(pat) - 1)
+	pv, mv := ^uint64(0), uint64(0)
+	score := len(pat)
+	for _, c := range text {
+		eq := s.maskOf(masks, c)
+		xv := eq | mv
+		xh := (((eq & pv) + pv) ^ pv) | eq
+		ph := mv | ^(xh | pv)
+		mh := pv & xh
+		if ph&top != 0 {
+			score++
+		} else if mh&top != 0 {
+			score--
+		}
+		ph = ph<<1 | 1
+		mh <<= 1
+		pv = mh | ^(xv | ph)
+		mv = ph & xv
+	}
+	return score
+}
+
+// jaroCountsBits is jaroCountsDP's greedy matching with rb (1..64 runes)
+// held as rune masks: the first unmatched rb position holding ra[i] inside
+// i's window is the lowest set bit of mask[ra[i]] & window &^ matchedB,
+// which is exactly the position the DP's left-to-right scan stops at. The
+// matched ra runes are kept in order, so transpositions pair them with the
+// matched rb positions in order, as the DP does.
+//
+//vetkit:hotpath
+func jaroCountsBits(ra, rb []rune, window int, s *Scratch) (matches, transpositions int) {
+	masks := s.wordMasks(rb)
+	lb := len(rb)
+	var matchedB uint64
+	var matchedA [64]rune // matches <= lb <= 64
+	for i, c := range ra {
+		lo := max(i-window, 0)
+		if lo >= lb {
+			break // every later window starts past rb too
+		}
+		hi := min(i+window+1, lb)
+		cand := s.maskOf(masks, c) & (uint64(1)<<hi - 1) &^ (uint64(1)<<lo - 1) &^ matchedB
+		if cand == 0 {
+			continue
+		}
+		matchedB |= cand & -cand
+		matchedA[matches] = c
+		matches++
+	}
+	k := 0
+	for mb := matchedB; mb != 0; mb &= mb - 1 {
+		if matchedA[k] != rb[bits.TrailingZeros64(mb)] {
+			transpositions++
+		}
+		k++
+	}
+	return matches, transpositions
 }

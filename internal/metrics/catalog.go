@@ -92,7 +92,7 @@ func ForAttribute(name string, idx int, t AttrType) []Metric {
 		return []Metric{
 			mk("jaro_winkler", Similarity, lift(JaroWinkler), pliftP(jaroWinklerP), NeedRunes),
 			mk("edit_sim", Similarity, lift(EditSimilarity), pliftP(editSimilarityP), NeedRunes),
-			mk("jaccard", Similarity, lift(JaccardTokens), pliftP(jaccardTokensP), NeedTokenSet),
+			mk("jaccard", Similarity, lift(JaccardTokens), pliftP(jaccardTokensP), NeedDistinctTokens),
 			mk("non_substring", Difference, lift(NonSubstring), pliftP(nonSubstringP), NeedNorm),
 			mk("non_prefix", Difference, lift(NonPrefix), pliftP(nonPrefixP), NeedNorm),
 			mk("non_suffix", Difference, lift(NonSuffix), pliftP(nonSuffixP), NeedNorm),
@@ -107,11 +107,11 @@ func ForAttribute(name string, idx int, t AttrType) []Metric {
 		}
 	case Text:
 		return []Metric{
-			mk("cosine_tfidf", Similarity, CosineTFIDF, cosineTFIDFP, NeedTokenCounts),
-			mk("jaccard", Similarity, lift(JaccardTokens), pliftP(jaccardTokensP), NeedTokenSet),
+			mk("cosine_tfidf", Similarity, CosineTFIDF, cosineTFIDFP, NeedDistinctTokens),
+			mk("jaccard", Similarity, lift(JaccardTokens), pliftP(jaccardTokensP), NeedDistinctTokens),
 			mk("lcs", Similarity, lift(LCS), pliftP(lcsP), NeedRunes),
-			mk("overlap", Similarity, lift(OverlapTokens), pliftP(overlapTokensP), NeedTokenSet),
-			mk("diff_key_token", Difference, DiffKeyToken, diffKeyTokenP, NeedTokenSet),
+			mk("overlap", Similarity, lift(OverlapTokens), pliftP(overlapTokensP), NeedDistinctTokens),
+			mk("diff_key_token", Difference, DiffKeyToken, diffKeyTokenP, NeedDistinctTokens),
 		}
 	case Numeric:
 		return []Metric{

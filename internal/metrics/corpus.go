@@ -79,6 +79,8 @@ func (c *Corpus) Docs() int { return c.docs }
 
 // IDF returns the smoothed inverse document frequency
 // log((N+1)/(df+1)) + 1 of the token. Unknown tokens get the maximum IDF.
+//
+//vetkit:hotpath
 func (c *Corpus) IDF(token string) float64 {
 	if v, ok := c.idf[token]; ok {
 		return v
@@ -88,6 +90,8 @@ func (c *Corpus) IDF(token string) float64 {
 
 // IsKeyToken reports whether the token is discriminating: its IDF meets the
 // corpus threshold (rare tokens identify entities).
+//
+//vetkit:hotpath
 func (c *Corpus) IsKeyToken(token string) bool {
 	if c.docs == 0 {
 		return len(token) >= 4

@@ -249,24 +249,41 @@ func DiffKeyToken(a, b string, c *Corpus) float64 {
 }
 
 func diffKeyTokenP(pa, pb *Prepared, c *Corpus, _ *Scratch) float64 {
-	sa, sb := pa.TokenSet(), pb.TokenSet()
-	if len(sa) == 0 || len(sb) == 0 {
+	ta, _ := pa.DistinctTokens()
+	tb, _ := pb.DistinctTokens()
+	if len(ta) == 0 || len(tb) == 0 {
 		return 0
 	}
-	count := 0
-	for t := range sa {
-		if _, shared := sb[t]; !shared && isKeyToken(t, c) {
-			count++
-		}
-	}
-	for t := range sb {
-		if _, shared := sa[t]; !shared && isKeyToken(t, c) {
-			count++
-		}
-	}
-	return float64(count)
+	return float64(unsharedKeyTokens(ta, tb, c))
 }
 
+// unsharedKeyTokens counts the key tokens found in exactly one of two
+// ascending distinct-token slices, by a linear merge.
+//
+//vetkit:hotpath
+func unsharedKeyTokens(a, b []string, c *Corpus) int {
+	n, i, j := 0, 0, 0
+	for i < len(a) || j < len(b) {
+		switch {
+		case j == len(b) || (i < len(a) && a[i] < b[j]):
+			if isKeyToken(a[i], c) {
+				n++
+			}
+			i++
+		case i == len(a) || b[j] < a[i]:
+			if isKeyToken(b[j], c) {
+				n++
+			}
+			j++
+		default:
+			i++
+			j++
+		}
+	}
+	return n
+}
+
+//vetkit:hotpath
 func isKeyToken(t string, c *Corpus) bool {
 	if c == nil {
 		return len(t) >= 4

@@ -1,7 +1,7 @@
 package metrics
 
 import (
-	"sort"
+	"slices"
 	"strings"
 
 	"repro/internal/strutil"
@@ -9,12 +9,12 @@ import (
 
 // Prepared caches every derived form of one attribute value that the basic
 // metrics consume: the normalized string, its runes, tokens (as strings and
-// as rune slices), token set and counts, entity-name split, first-letter
-// abbreviation, and numeric parse. Preparing a value once and sharing it
-// across all metrics of an attribute — and across every candidate pair the
-// value participates in — removes the dominant redundancy of metric
-// computation (normalization and tokenization used to run once per metric
-// per pair).
+// as rune slices), the sorted distinct tokens with their counts,
+// entity-name split, first-letter abbreviation, and numeric parse.
+// Preparing a value once and sharing it across all metrics of an attribute
+// — and across every candidate pair the value participates in — removes
+// the dominant redundancy of metric computation (normalization and
+// tokenization used to run once per metric per pair).
 //
 // The derived forms are computed lazily by the accessors, which makes a
 // Prepared cheap when only a few forms are needed (the string-function
@@ -36,12 +36,9 @@ type Prepared struct {
 	tokenRunes    [][]rune
 	hasTokenRunes bool
 
-	tokenSet    map[string]struct{}
-	hasTokenSet bool
-
-	tokenCounts    map[string]int
-	sortedTokens   []string // sorted distinct tokens, for deterministic TF-IDF
-	hasTokenCounts bool
+	distinct    []string // distinct tokens in ascending byte order
+	counts      []int    // occurrences of distinct[i] among the tokens
+	hasDistinct bool
 
 	entities     []string
 	entityRunes  [][]rune
@@ -67,7 +64,9 @@ type Prepared struct {
 
 // Need is a bitmask of the derived forms a metric consumes; catalogs
 // aggregate them per attribute so the feature store materializes only what
-// its metrics will read.
+// its metrics will read. One bit, NeedDistinctTokens, serves every
+// token-set and token-count metric: they all merge the same sorted
+// distinct-token slice.
 type Need uint16
 
 // Derived-form bits.
@@ -76,8 +75,7 @@ const (
 	NeedRunes
 	NeedTokens
 	NeedTokenRunes
-	NeedTokenSet
-	NeedTokenCounts
+	NeedDistinctTokens
 	NeedEntities
 	NeedAbbr
 	NeedCompact
@@ -140,48 +138,39 @@ func (p *Prepared) TokenRunes() [][]rune {
 	return p.tokenRunes
 }
 
-// TokenSet returns the set of distinct tokens.
-func (p *Prepared) TokenSet() map[string]struct{} {
-	if !p.hasTokenSet {
-		set := make(map[string]struct{})
-		for _, t := range p.Tokens() {
-			set[t] = struct{}{}
+// DistinctTokens returns the distinct tokens in ascending byte order and,
+// index-aligned, how often each occurs. The token-set metrics (Jaccard,
+// overlap, diff-key-token) and the TF-IDF cosine are linear merges over
+// this one form; the sorted order is also the deterministic summation
+// order CosineTFIDF relies on.
+func (p *Prepared) DistinctTokens() (tokens []string, counts []int) {
+	if !p.hasDistinct {
+		p.distinct, p.counts = appendDistinct(nil, nil, p.Tokens())
+		p.hasDistinct = true
+	}
+	return p.distinct, p.counts
+}
+
+// appendDistinct sorts a copy of tokens into dst and collapses repeats,
+// recording each distinct token's multiplicity in counts. Both buffers are
+// overwritten from index 0, so a caller can pass last call's results back.
+//
+//vetkit:hotpath
+func appendDistinct(dst []string, counts []int, tokens []string) ([]string, []int) {
+	dst = append(dst[:0], tokens...)
+	slices.Sort(dst)
+	counts = counts[:0]
+	n := 0
+	for _, t := range dst {
+		if n > 0 && dst[n-1] == t {
+			counts[n-1]++
+			continue
 		}
-		p.tokenSet = set
-		p.hasTokenSet = true
+		dst[n] = t
+		counts = append(counts, 1)
+		n++
 	}
-	return p.tokenSet
-}
-
-// TokenCounts returns the token multiset; SortedTokens returns its keys in
-// sorted order (the deterministic iteration order CosineTFIDF relies on).
-func (p *Prepared) TokenCounts() map[string]int {
-	p.ensureCounts()
-	return p.tokenCounts
-}
-
-// SortedTokens returns the distinct tokens in sorted order.
-func (p *Prepared) SortedTokens() []string {
-	p.ensureCounts()
-	return p.sortedTokens
-}
-
-func (p *Prepared) ensureCounts() {
-	if p.hasTokenCounts {
-		return
-	}
-	counts := make(map[string]int)
-	for _, t := range p.Tokens() {
-		counts[t]++
-	}
-	keys := make([]string, 0, len(counts))
-	for k := range counts {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	p.tokenCounts = counts
-	p.sortedTokens = keys
-	p.hasTokenCounts = true
+	return dst[:n], counts
 }
 
 // Entities returns the entity-name split of the value; EntityRunes and
@@ -262,23 +251,20 @@ func (p *Prepared) Materialize() *Prepared { return p.MaterializeNeeds(NeedAll) 
 // MaterializeNeeds forces the requested derived forms (plus their
 // prerequisites) so concurrent readers of exactly those forms are safe.
 func (p *Prepared) MaterializeNeeds(needs Need) *Prepared {
-	if needs&(NeedNorm|NeedRunes|NeedTokens|NeedTokenRunes|NeedTokenSet|NeedTokenCounts|NeedCompact) != 0 {
+	if needs&(NeedNorm|NeedRunes|NeedTokens|NeedTokenRunes|NeedDistinctTokens|NeedCompact) != 0 {
 		p.Norm()
 	}
 	if needs&NeedRunes != 0 {
 		p.Runes()
 	}
-	if needs&(NeedTokens|NeedTokenRunes|NeedTokenSet|NeedTokenCounts) != 0 {
+	if needs&(NeedTokens|NeedTokenRunes|NeedDistinctTokens) != 0 {
 		p.Tokens()
 	}
 	if needs&NeedTokenRunes != 0 {
 		p.TokenRunes()
 	}
-	if needs&NeedTokenSet != 0 {
-		p.TokenSet()
-	}
-	if needs&NeedTokenCounts != 0 {
-		p.ensureCounts()
+	if needs&NeedDistinctTokens != 0 {
+		p.DistinctTokens()
 	}
 	if needs&NeedEntities != 0 {
 		p.ensureEntities()

@@ -1,7 +1,6 @@
 package metrics
 
 import (
-	"sort"
 	"strconv"
 	"strings"
 	"unicode/utf8"
@@ -25,9 +24,9 @@ import (
 //   - Every derived form of a reusable Prepared — strings, slices, map
 //     contents — is valid only until the next Reset. Nothing may retain
 //     them across Resets (the scoring path only writes float64s out).
-//   - The maps (token set/counts, entity set) are cleared at the start of
-//     each Reset, before any buffer is overwritten, so no map ever holds a
-//     key whose bytes have been reused.
+//   - The one map (the entity set) is cleared at the start of each Reset,
+//     before any buffer is overwritten, so it never holds a key whose
+//     bytes have been reused.
 //   - A reusable Prepared is owned by one goroutine at a time (the pooled
 //     scratch guarantees this); the derived forms are read-only between
 //     Resets.
@@ -42,7 +41,8 @@ type reuseState struct {
 
 	tokens     []string
 	tokenRunes [][]rune
-	sorted     []string
+	distinct   []string
+	counts     []int
 
 	entityBuf    []byte
 	entityEnds   []int
@@ -62,10 +62,8 @@ type reuseState struct {
 // file comment for the aliasing contract.
 func NewReusable() *Prepared {
 	return &Prepared{
-		scratch:     &reuseState{},
-		tokenSet:    make(map[string]struct{}),
-		tokenCounts: make(map[string]int),
-		entitySet:   make(map[string]struct{}),
+		scratch:   &reuseState{},
+		entitySet: make(map[string]struct{}),
 	}
 }
 
@@ -89,18 +87,14 @@ func (p *Prepared) Reset(raw string, needs Need) {
 	if st == nil {
 		panic("metrics: Reset on a Prepared not built by NewReusable")
 	}
-	// Clear the maps before any buffer is overwritten: their keys may alias
-	// the previous cycle's bytes.
-	clear(p.tokenSet)
-	clear(p.tokenCounts)
+	// Clear the entity set before any buffer is overwritten: its keys may
+	// alias the previous cycle's bytes.
 	clear(p.entitySet)
-	tokenSet, tokenCounts, entitySet := p.tokenSet, p.tokenCounts, p.entitySet
-	*p = Prepared{raw: raw, scratch: st,
-		tokenSet: tokenSet, tokenCounts: tokenCounts, entitySet: entitySet}
+	*p = Prepared{raw: raw, scratch: st, entitySet: p.entitySet}
 
-	wantNorm := needs&(NeedNorm|NeedRunes|NeedTokens|NeedTokenRunes|NeedTokenSet|NeedTokenCounts|NeedAbbr|NeedCompact) != 0
+	wantNorm := needs&(NeedNorm|NeedRunes|NeedTokens|NeedTokenRunes|NeedDistinctTokens|NeedAbbr|NeedCompact) != 0
 	wantRunes := needs&(NeedRunes|NeedTokenRunes) != 0
-	wantTokens := needs&(NeedTokens|NeedTokenRunes|NeedTokenSet|NeedTokenCounts|NeedAbbr) != 0
+	wantTokens := needs&(NeedTokens|NeedTokenRunes|NeedDistinctTokens|NeedAbbr) != 0
 	wantTokenRunes := needs&NeedTokenRunes != 0
 
 	if wantNorm {
@@ -116,23 +110,10 @@ func (p *Prepared) Reset(raw string, needs Need) {
 	if wantTokens {
 		p.resetTokens(wantTokenRunes)
 	}
-	if needs&NeedTokenSet != 0 {
-		for _, t := range p.tokens {
-			p.tokenSet[t] = struct{}{}
-		}
-		p.hasTokenSet = true
-	}
-	if needs&NeedTokenCounts != 0 {
-		for _, t := range p.tokens {
-			p.tokenCounts[t]++
-		}
-		st.sorted = st.sorted[:0]
-		for t := range p.tokenCounts {
-			st.sorted = append(st.sorted, t)
-		}
-		sort.Strings(st.sorted)
-		p.sortedTokens = st.sorted
-		p.hasTokenCounts = true
+	if needs&NeedDistinctTokens != 0 {
+		st.distinct, st.counts = appendDistinct(st.distinct, st.counts, p.tokens)
+		p.distinct, p.counts = st.distinct, st.counts
+		p.hasDistinct = true
 	}
 	if needs&NeedEntities != 0 {
 		p.resetEntities()

@@ -32,9 +32,21 @@ func Levenshtein(a, b string) int {
 	return levenshteinRunes([]rune(strutil.Normalize(a)), []rune(strutil.Normalize(b)), &s)
 }
 
-// levenshteinRunes dispatches to the register-blocked DP (bitlcs.go),
-// which produces the exact classic-DP distance.
+// levenshteinRunes dispatches on length, as lcsRunes does: the
+// bit-parallel kernel when the shorter side fits one 64-bit word, the
+// register-blocked DP otherwise (bitlcs.go). Both produce the exact
+// classic-DP distance.
 func levenshteinRunes(ra, rb []rune, s *Scratch) int {
+	pat, text := ra, rb
+	if len(pat) > len(text) {
+		pat, text = text, pat
+	}
+	if len(pat) == 0 {
+		return len(text)
+	}
+	if len(pat) <= 64 {
+		return levenshteinBits(pat, text, s)
+	}
 	return levenshteinLen(ra, rb, s)
 }
 
@@ -71,25 +83,32 @@ func jaroRunes(ra, rb []rune, s *Scratch) float64 {
 	if la == 0 || lb == 0 {
 		return 0
 	}
-	window := la
-	if lb > window {
-		window = lb
+	window := max(max(la, lb)/2-1, 0)
+	var matches, transpositions int
+	if lb <= 64 {
+		matches, transpositions = jaroCountsBits(ra, rb, window, s)
+	} else {
+		matches, transpositions = jaroCountsDP(ra, rb, window, s)
 	}
-	window = window/2 - 1
-	if window < 0 {
-		window = 0
+	if matches == 0 {
+		return 0
 	}
+	m := float64(matches)
+	t := float64(transpositions) / 2
+	return (m/float64(la) + m/float64(lb) + (m-t)/m) / 3
+}
+
+// jaroCountsDP is the classic Jaro matching scan with match flags: each
+// rune of ra takes the first unmatched equal rune of rb within window
+// positions, then transpositions count the matched pairs that disagree
+// when both sides are read in order. jaroCountsBits computes the same
+// counts when rb fits one 64-bit word.
+func jaroCountsDP(ra, rb []rune, window int, s *Scratch) (matches, transpositions int) {
+	la, lb := len(ra), len(rb)
 	matchedA, matchedB := s.bools2(la, lb)
-	matches := 0
 	for i := 0; i < la; i++ {
-		lo := i - window
-		if lo < 0 {
-			lo = 0
-		}
-		hi := i + window + 1
-		if hi > lb {
-			hi = lb
-		}
+		lo := max(i-window, 0)
+		hi := min(i+window+1, lb)
 		for j := lo; j < hi; j++ {
 			if !matchedB[j] && ra[i] == rb[j] {
 				matchedA[i] = true
@@ -99,10 +118,6 @@ func jaroRunes(ra, rb []rune, s *Scratch) float64 {
 			}
 		}
 	}
-	if matches == 0 {
-		return 0
-	}
-	transpositions := 0
 	j := 0
 	for i := 0; i < la; i++ {
 		if !matchedA[i] {
@@ -116,9 +131,7 @@ func jaroRunes(ra, rb []rune, s *Scratch) float64 {
 		}
 		j++
 	}
-	m := float64(matches)
-	t := float64(transpositions) / 2
-	return (m/float64(la) + m/float64(lb) + (m-t)/m) / 3
+	return matches, transpositions
 }
 
 // JaroWinkler returns the Jaro-Winkler similarity with the standard prefix
@@ -151,7 +164,34 @@ func JaccardTokens(a, b string) float64 {
 }
 
 func jaccardTokensP(pa, pb *Prepared, _ *Scratch) float64 {
-	return jaccardSets(pa.TokenSet(), pb.TokenSet())
+	ta, _ := pa.DistinctTokens()
+	tb, _ := pb.DistinctTokens()
+	if len(ta) == 0 && len(tb) == 0 {
+		return 1
+	}
+	inter := sharedTokens(ta, tb)
+	return float64(inter) / float64(len(ta)+len(tb)-inter)
+}
+
+// sharedTokens counts the tokens two ascending distinct-token slices have
+// in common, by a linear merge.
+//
+//vetkit:hotpath
+func sharedTokens(a, b []string) int {
+	n, i, j := 0, 0, 0
+	for i < len(a) && j < len(b) {
+		switch {
+		case a[i] == b[j]:
+			n++
+			i++
+			j++
+		case a[i] < b[j]:
+			i++
+		default:
+			j++
+		}
+	}
+	return n
 }
 
 // JaccardEntities returns the Jaccard index of the entity-name sets of two
@@ -189,24 +229,15 @@ func OverlapTokens(a, b string) float64 {
 }
 
 func overlapTokensP(pa, pb *Prepared, _ *Scratch) float64 {
-	sa, sb := pa.TokenSet(), pb.TokenSet()
-	if len(sa) == 0 && len(sb) == 0 {
+	ta, _ := pa.DistinctTokens()
+	tb, _ := pb.DistinctTokens()
+	if len(ta) == 0 && len(tb) == 0 {
 		return 1
 	}
-	if len(sa) == 0 || len(sb) == 0 {
+	if len(ta) == 0 || len(tb) == 0 {
 		return 0
 	}
-	inter := 0
-	for t := range sa {
-		if _, ok := sb[t]; ok {
-			inter++
-		}
-	}
-	m := len(sa)
-	if len(sb) < m {
-		m = len(sb)
-	}
-	return float64(inter) / float64(m)
+	return float64(sharedTokens(ta, tb)) / float64(min(len(ta), len(tb)))
 }
 
 // QGramJaccard returns the Jaccard index of the q-gram (q=2) sets of a and b.
@@ -350,29 +381,47 @@ func CosineTFIDF(a, b string, c *Corpus) float64 {
 }
 
 func cosineTFIDFP(pa, pb *Prepared, c *Corpus, _ *Scratch) float64 {
-	ca, cb := pa.TokenCounts(), pb.TokenCounts()
-	if len(ca) == 0 && len(cb) == 0 {
+	ta, ca := pa.DistinctTokens()
+	tb, cb := pb.DistinctTokens()
+	if len(ta) == 0 && len(tb) == 0 {
 		return 1
 	}
-	if len(ca) == 0 || len(cb) == 0 {
+	if len(ta) == 0 || len(tb) == 0 {
 		return 0
 	}
-	// Accumulate in sorted token order: float addition is not associative,
-	// and map iteration order would make the result run-dependent, breaking
-	// the repository's bit-reproducibility guarantee.
+	return cosineMerge(ta, ca, tb, cb, c)
+}
+
+// cosineMerge is the TF-IDF cosine of two ascending distinct-token slices
+// with their counts, walked as one merge. Each of the three sums
+// accumulates in ascending token order: float addition is not
+// associative, so a fixed order is what keeps the result bit-reproducible.
+// A shared token's IDF is looked up once.
+//
+//vetkit:hotpath
+func cosineMerge(ta []string, ca []int, tb []string, cb []int, c *Corpus) float64 {
 	dot, na, nb := 0.0, 0.0, 0.0
-	for _, t := range pa.SortedTokens() {
-		w := idfWeight(c, t)
-		va := float64(ca[t]) * w
-		na += va * va
-		if fb, ok := cb[t]; ok {
-			dot += va * float64(fb) * w
+	i, j := 0, 0
+	for i < len(ta) || j < len(tb) {
+		switch {
+		case j == len(tb) || (i < len(ta) && ta[i] < tb[j]):
+			va := float64(ca[i]) * idfWeight(c, ta[i])
+			na += va * va
+			i++
+		case i == len(ta) || tb[j] < ta[i]:
+			vb := float64(cb[j]) * idfWeight(c, tb[j])
+			nb += vb * vb
+			j++
+		default:
+			w := idfWeight(c, ta[i])
+			va := float64(ca[i]) * w
+			na += va * va
+			dot += va * float64(cb[j]) * w
+			vb := float64(cb[j]) * w
+			nb += vb * vb
+			i++
+			j++
 		}
-	}
-	for _, t := range pb.SortedTokens() {
-		w := idfWeight(c, t)
-		vb := float64(cb[t]) * w
-		nb += vb * vb
 	}
 	if na == 0 || nb == 0 {
 		return 0
@@ -380,6 +429,7 @@ func cosineTFIDFP(pa, pb *Prepared, c *Corpus, _ *Scratch) float64 {
 	return dot / (math.Sqrt(na) * math.Sqrt(nb))
 }
 
+//vetkit:hotpath
 func idfWeight(c *Corpus, token string) float64 {
 	if c == nil {
 		return 1

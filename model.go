@@ -405,10 +405,6 @@ func (m *Model) CheckPair(p Pair) error {
 	return nil
 }
 
-// checkPair is the historical unexported spelling, kept so the scoring
-// paths read unchanged.
-func (m *Model) checkPair(p Pair) error { return m.CheckPair(p) }
-
 // Schema returns the attribute schema the model was trained on, as a fresh
 // copy (mutating it cannot corrupt the model). Serving endpoints report it
 // so clients know the order and arity of the values a Pair must carry.
@@ -429,7 +425,7 @@ func (m *Model) EnvelopeVersion() int { return modelVersion }
 // Steady state performs zero heap allocations: every buffer the pair's
 // evaluation touches lives in a pooled scoreScratch.
 func (m *Model) Score(p Pair) (PairScore, error) {
-	if err := m.checkPair(p); err != nil {
+	if err := m.CheckPair(p); err != nil {
 		return PairScore{}, err
 	}
 	s := m.acquireScratch()
@@ -452,7 +448,7 @@ const scoreBatchChunk = 16
 // concurrent use.
 func (m *Model) ScoreBatch(pairs []Pair) ([]PairScore, error) {
 	for i, p := range pairs {
-		if err := m.checkPair(p); err != nil {
+		if err := m.CheckPair(p); err != nil {
 			return nil, fmt.Errorf("pair %d: %w", i, err)
 		}
 	}
@@ -499,7 +495,7 @@ func (m *Model) instFromRow(row []float64, s *scoreScratch) core.Instance {
 // risk: each contributing risk feature with its weight share in the pair's
 // portfolio, most influential first. Safe for concurrent use.
 func (m *Model) ExplainPair(p Pair) ([]string, error) {
-	if err := m.checkPair(p); err != nil {
+	if err := m.CheckPair(p); err != nil {
 		return nil, err
 	}
 	s := m.acquireScratch()

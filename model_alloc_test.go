@@ -11,7 +11,10 @@ import (
 //     absorbs every buffer the pair evaluation touches;
 //   - steady-state Model.ScoreBatch: a small per-call bound that does NOT
 //     grow with the batch size (the result slice plus the internal/par
-//     chunk dispatch), zero allocations per pair.
+//     chunk dispatch), zero allocations per pair;
+//   - steady-state Model.Resolve and ResolveShard: 1 alloc/op, the result
+//     slice — candidate generation, ranking and the winners' verdicts all
+//     run inside the pooled resolve scratch.
 //
 // testing.AllocsPerRun pins GOMAXPROCS to 1 for the measurement, which
 // makes the ScoreBatch bound deterministic (no worker goroutine spawns);
@@ -91,5 +94,51 @@ func TestScoreBatchSteadyStateAllocs(t *testing.T) {
 	})
 	if allocs > scoreBatchAllocBound {
 		t.Fatalf("steady-state ScoreBatch(%d pairs) allocates %v/call, bound %d", len(double), allocs, scoreBatchAllocBound)
+	}
+}
+
+func TestResolveSteadyStateAllocs(t *testing.T) {
+	w, m, st, _ := resolveFixture(t)
+	// Probes with at least one match: an empty result slice is not an
+	// allocation, and the pin is exactly one.
+	var probes [][]string
+	for _, r := range w.inner.Left.Records {
+		res, err := m.Resolve(st, r.Values, 5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res) > 0 {
+			probes = append(probes, r.Values)
+		}
+		if len(probes) == 4 {
+			break
+		}
+	}
+	if len(probes) == 0 {
+		t.Fatal("fixture has no probe with a match")
+	}
+	paths := []struct {
+		name    string
+		resolve func(probe []string) error
+	}{
+		{"Resolve", func(probe []string) error { _, err := m.Resolve(st, probe, 5); return err }},
+		{"ResolveShard", func(probe []string) error { _, err := m.ResolveShard(st, probe, 5, nil); return err }},
+	}
+	for _, p := range paths {
+		for _, probe := range probes { // warm the pooled scratch buffers
+			if err := p.resolve(probe); err != nil {
+				t.Fatal(err)
+			}
+		}
+		allocs := testing.AllocsPerRun(20, func() {
+			for _, probe := range probes {
+				if err := p.resolve(probe); err != nil {
+					t.Fatal(err)
+				}
+			}
+		})
+		if want := float64(len(probes)); allocs != want {
+			t.Fatalf("steady-state %s over %d probes allocates %v per cycle, want %v (the result slices)", p.name, len(probes), allocs, want)
+		}
 	}
 }

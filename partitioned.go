@@ -48,9 +48,11 @@ func (m *Model) OpenDurablePartitionedMatchStore(dir string, partitions, replica
 // honoring the router's skip list (globally pruned stop tokens, sorted
 // ascending): up to k entries, Prob descending, ties toward the lower
 // record ID. It is the per-partition leg of the scatter-gather resolve —
-// Model implements partition.Scorer through it — and reuses the pooled
-// resolve scratch, so the scoring path stays allocation-free in steady
-// state.
+// Model implements partition.Scorer through it. Candidates are ranked by
+// classifier probability alone (no rule firings or risk assessment; the
+// caller builds verdicts for the merged winners), and the pooled resolve
+// scratch keeps the path allocation-free in steady state apart from the
+// result slice.
 func (m *Model) ResolveShard(st *MatchStore, probe []string, k int, skip []string) ([]ScoredMatch, error) {
 	if err := m.checkResolve(st, probe, k); err != nil {
 		return nil, err
@@ -59,9 +61,9 @@ func (m *Model) ResolveShard(st *MatchStore, probe []string, k int, skip []strin
 	m.rankInto(st, probe, k, skip, s, nil)
 	out := make([]ScoredMatch, len(s.sorted))
 	for i, e := range s.sorted {
-		out[i] = ScoredMatch{ID: s.kept[e.ID], Rank: s.scores[e.ID].Prob}
+		out[i] = ScoredMatch{ID: s.kept[e.ID], Rank: e.Rank}
 	}
-	m.resolvePool.Put(s)
+	m.releaseResolveScratch(s)
 	return out, nil
 }
 

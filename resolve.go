@@ -5,15 +5,18 @@ import (
 	"fmt"
 	"time"
 
+	"repro/internal/featstore"
 	"repro/internal/match"
 	"repro/internal/obs"
 )
 
 // The online resolve path: a trained Model plus a match.Store answer "here
 // is a new record — who does it match?" without batch rebuilds. Candidates
-// come from the store's incremental blocking index, every (probe,
-// candidate) pair is scored through the same pooled zero-allocation scratch
-// Score uses, and a bounded top-k heap keeps only the k best verdicts.
+// come from the store's incremental blocking index, and every (probe,
+// candidate) pair gets its metric row and classifier probability through
+// the same pooled zero-allocation scratch Score uses. A bounded top-k heap
+// keeps the k most probable candidates, and only those k get the full
+// verdict (rule firings and risk assessment).
 
 // Trace is a request-scoped stage timer (an alias for obs.Trace, see
 // MatchConfig for the aliasing rationale). A nil *Trace disables all
@@ -51,13 +54,14 @@ type DurableMatchOptions = match.DurableOptions
 
 // resolveScratch is one resolve worker's reusable state: the probe scratch
 // of the candidate index, the scoring scratch of the zero-alloc path, the
-// per-probe candidate/score buffers and the bounded top-k heap.
+// per-probe candidate buffers (record IDs and the value slices fetched
+// with them) and the bounded top-k heap.
 type resolveScratch struct {
 	ps     match.ProbeScratch
 	ss     *scoreScratch
 	ids    []uint64
 	kept   []uint64
-	scores []PairScore
+	vals   [][]string
 	topk   match.TopK
 	sorted []match.Scored
 }
@@ -67,6 +71,15 @@ func (m *Model) acquireResolveScratch() *resolveScratch {
 		return s
 	}
 	return &resolveScratch{ss: m.acquireScratch()}
+}
+
+// releaseResolveScratch returns a scratch to the pool after dropping its
+// references to candidate values, so a pooled scratch does not keep
+// deleted records alive.
+func (m *Model) releaseResolveScratch(s *resolveScratch) {
+	clear(s.vals)
+	s.vals = s.vals[:0]
+	m.resolvePool.Put(s)
 }
 
 // checkResolve validates the store binding and one probe. Probe arity
@@ -91,44 +104,52 @@ func (m *Model) checkResolve(st *MatchStore, probe []string, k int) error {
 // Resolve finds the k best-scoring matches for one probe record among the
 // store's live records: the incremental blocking index generates the
 // candidate set (identical to a from-scratch batch blocking run over the
-// surviving records), every candidate is risk-scored on the zero-alloc
-// serving path with the probe-side preparation cached across candidates,
-// and a bounded heap keeps the k highest classifier probabilities (ties
-// toward the lower record ID). Fewer than k results means fewer candidates
-// shared enough blocking tokens. Safe for concurrent use, including
-// concurrently with Add/Delete on the store.
+// surviving records), every candidate's classifier probability is computed
+// on the zero-alloc serving path with the probe-side preparation cached
+// across candidates, a bounded heap keeps the k highest probabilities (ties
+// toward the lower record ID), and those k get the full risk verdict.
+// Fewer than k results means fewer candidates shared enough blocking
+// tokens. Safe for concurrent use, including concurrently with Add/Delete
+// on the store.
 func (m *Model) Resolve(st *MatchStore, probe []string, k int) ([]MatchResult, error) {
 	return m.ResolveTraced(st, probe, k, nil)
 }
 
 // ResolveTraced is Resolve with request-scoped stage timing: candidate
-// generation on StageProbeTokenize, per-candidate scoring on StageScore,
-// and the bounded-heap ranking on StageTopKMerge. A nil trace records
-// nothing and takes no timestamps.
+// generation on StageProbeTokenize, per-candidate scoring and the winners'
+// verdicts on StageScore, and the bounded-heap ranking on StageTopKMerge. A
+// nil trace records nothing and takes no timestamps.
 func (m *Model) ResolveTraced(st *MatchStore, probe []string, k int, tr *Trace) ([]MatchResult, error) {
 	if err := m.checkResolve(st, probe, k); err != nil {
 		return nil, err
 	}
 	s := m.acquireResolveScratch()
-	out := m.resolveTracedInto(st, probe, k, s, tr)
-	m.resolvePool.Put(s)
+	m.rankInto(st, probe, k, nil, s, tr)
+	var t0 time.Time
+	if tr != nil {
+		t0 = time.Now()
+	}
+	// Verdicts for the winners only, from the value slices fetched while
+	// ranking: a winner deleted since keeps its verdict, and scorePair is
+	// deterministic, so each Prob is bit-identical to the rank it won by.
+	out := make([]MatchResult, len(s.sorted))
+	for i, e := range s.sorted {
+		out[i] = MatchResult{ID: s.kept[e.ID], Score: m.scorePair(Pair{Left: probe, Right: s.vals[e.ID]}, s.ss)}
+	}
+	if tr != nil {
+		tr.Observe(obs.StageScore, t0)
+	}
+	m.releaseResolveScratch(s)
 	return out, nil
 }
 
-func (m *Model) resolveTracedInto(st *MatchStore, probe []string, k int, s *resolveScratch, tr *Trace) []MatchResult {
-	m.rankInto(st, probe, k, nil, s, tr)
-	out := make([]MatchResult, len(s.sorted))
-	for i, e := range s.sorted {
-		out[i] = MatchResult{ID: s.kept[e.ID], Score: s.scores[e.ID]}
-	}
-	return out
-}
-
 // rankInto is the shared resolve core: candidates from the incremental
-// index (minus the skip list's globally pruned tokens), every candidate
-// scored on the zero-alloc path, the k best retained. It leaves the
-// verdicts in the scratch — s.sorted holds scratch positions best-first,
-// s.kept/s.scores map a position back to the record ID and its full score.
+// index (minus the skip list's globally pruned stop tokens), each ranked by
+// its classifier probability alone (metric row, then classifier; no rule
+// firings, no risk assessment), the k most probable retained. It leaves the
+// ranking in the scratch: s.sorted holds scratch positions best-first with
+// their probabilities, and s.kept/s.vals map a position back to the record
+// ID and the values it was scored on.
 func (m *Model) rankInto(st *MatchStore, probe []string, k int, skip []string, s *resolveScratch, tr *Trace) {
 	var t0 time.Time
 	if tr != nil {
@@ -149,19 +170,21 @@ func (m *Model) rankInto(st *MatchStore, probe []string, k int, skip []string, s
 	}
 	s.topk.Reset(k)
 	s.kept = s.kept[:0]
-	s.scores = s.scores[:0]
+	s.vals = s.vals[:0]
+	ss := s.ss
 	for _, id := range s.ids {
 		vals, ok := st.Get(id)
 		if !ok {
 			continue // deleted between probe and fetch; skip
 		}
-		sc := m.scorePair(Pair{Left: probe, Right: vals}, s.ss)
-		pos := uint64(len(s.scores))
+		ss.row = featstore.ComputeRowAppend(m.cat, ss.row[:0], probe, vals, ss.fs)
+		prob := m.matcher.ProbRowScratch(ss.row, ss.prob)
+		pos := uint64(len(s.kept))
 		s.kept = append(s.kept, id)
-		s.scores = append(s.scores, sc)
+		s.vals = append(s.vals, vals)
 		// Candidates arrive in ascending ID order, so the scratch position
 		// preserves the ID tie-break.
-		s.topk.Offer(match.Scored{ID: pos, Rank: sc.Prob})
+		s.topk.Offer(match.Scored{ID: pos, Rank: prob})
 	}
 	if tr != nil {
 		now := time.Now()

@@ -3,11 +3,14 @@
 // probe — at 10k+ stored records. cmd/bench records them into
 // BENCH_PR5.json (Makefile bench-pr5): resolve latency (mean, p50, p99),
 // candidates per probe, and the warm-vs-rebuild speedup the acceptance
-// criterion pins at >= 10x.
+// criterion pins at >= 10x. BenchmarkOnlineResolveAB reproduces the
+// perfbench resolve workload's store and probes in-process, for profiling
+// the per-candidate scoring kernel without the HTTP harness.
 package learnrisk_test
 
 import (
 	"context"
+	"math/rand/v2"
 	"slices"
 	"sort"
 	"sync"
@@ -19,6 +22,7 @@ import (
 	"repro/internal/datagen"
 	"repro/internal/dataset"
 	"repro/internal/match"
+	"repro/internal/partition"
 )
 
 const resolveBenchK = 10
@@ -151,6 +155,82 @@ func BenchmarkOnlineResolveRebuildPerProbe10k(b *testing.B) {
 			results = results[:resolveBenchK]
 		}
 		samples = append(samples, time.Since(t0))
+	}
+	b.StopTimer()
+	reportLatencies(b, samples)
+}
+
+var (
+	resolveABOnce   sync.Once
+	resolveABModel  *learnrisk.Model
+	resolveABStore  *learnrisk.PartitionedMatchStore
+	resolveABProbes [][]string
+	resolveABErr    error
+)
+
+// resolveABSetup builds the perfbench resolve workload's state for one
+// seed: the AB profile at scale 0.5 trained with that seed, a seeded
+// permutation of the right table split in half, the first half added to a
+// one-partition store in permutation order (the server's default store
+// warm-loaded from the records file), and the held-out half as probes.
+func resolveABSetup(b *testing.B) (*learnrisk.Model, *learnrisk.PartitionedMatchStore, [][]string) {
+	b.Helper()
+	resolveABOnce.Do(func() {
+		const seed = 1
+		w, err := learnrisk.Generate("AB", 0.5, seed)
+		if err != nil {
+			resolveABErr = err
+			return
+		}
+		rep, err := learnrisk.RunCtx(context.Background(), w, learnrisk.Options{Seed: seed})
+		if err != nil {
+			resolveABErr = err
+			return
+		}
+		m := rep.Model()
+		ps, err := partition.New(len(m.Schema()), partition.Options{Partitions: 1, Scorer: m})
+		if err != nil {
+			resolveABErr = err
+			return
+		}
+		perm := rand.New(rand.NewPCG(seed, 1)).Perm(w.NumRightRecords())
+		half := len(perm) / 2
+		for _, i := range perm[:half] {
+			v, _ := w.RightRecordAt(i)
+			if _, err := ps.Add(v); err != nil {
+				resolveABErr = err
+				return
+			}
+		}
+		for _, i := range perm[half:] {
+			v, _ := w.RightRecordAt(i)
+			resolveABProbes = append(resolveABProbes, v)
+		}
+		resolveABModel, resolveABStore = m, ps
+	})
+	if resolveABErr != nil {
+		b.Fatal(resolveABErr)
+	}
+	return resolveABModel, resolveABStore, resolveABProbes
+}
+
+// BenchmarkOnlineResolveAB is the perfbench resolve workload's request in
+// process: one held-out AB record resolved at k=5 against 13k warm records
+// on the server's one-partition store, through the facade call the server
+// makes. Profile the scoring kernel with
+//
+//	go test -run '^$' -bench OnlineResolveAB -cpuprofile cpu.prof .
+func BenchmarkOnlineResolveAB(b *testing.B) {
+	m, ps, probes := resolveABSetup(b)
+	samples := make([]time.Duration, 0, b.N)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		t0 := time.Now()
+		_, err := m.ResolvePartitionedTraced(ps, probes[i%len(probes)], 5, nil)
+		samples = append(samples, time.Since(t0))
+		if err != nil {
+			b.Fatal(err)
+		}
 	}
 	b.StopTimer()
 	reportLatencies(b, samples)
